@@ -26,7 +26,8 @@
 //  5. Metamorphic invariants over the analytical models: batch monotonicity
 //     and weight-amortization direction, area additivity across banks,
 //     latency non-increase under bank growth, leakage recomputation, and
-//     summary/full bit-identity.
+//     direct/plan/summary bit-identity on a homogeneous and a mix
+//     configuration.
 //  6. Selection soundness: dse.SelectionSelfCheck's randomized
 //     dominates/slackOK cross-check against brute-force selection.
 //  7. Catalogue differentials: the config-loaded chiplet catalogue against
@@ -45,9 +46,10 @@
 //     NoC transfer differential under contention.
 //
 // The oracles under test are injectable (Options.AnalyticalFolds, PlanOS,
-// CompareDataflows) so the harness's own tests can re-introduce historical
-// bugs — the grouped-Conv1d fold drop, the depthwise movement overcount —
-// and prove the harness catches them.
+// CompareDataflows, Plan) so the harness's own tests can re-introduce
+// historical bugs — the grouped-Conv1d fold drop, the depthwise movement
+// overcount — and a too-coarse plan shape key, and prove the harness catches
+// them.
 package check
 
 import (
@@ -55,6 +57,7 @@ import (
 	"strings"
 
 	"repro/internal/hw"
+	"repro/internal/ppa"
 	"repro/internal/systolic"
 	"repro/internal/workload"
 )
@@ -216,6 +219,10 @@ type Options struct {
 	// CompareDataflows overrides the WS/OS dataflow comparison under test
 	// (default systolic.Compare).
 	CompareDataflows func(l workload.Layer, size, n int) (ws, os systolic.DataflowCost)
+	// Plan overrides the model-plan builder under test (default
+	// ppa.NewModelPlan), so the harness's own tests can inject a plan that
+	// groups layers by a too-coarse shape key.
+	Plan func(m *workload.Model) *ppa.ModelPlan
 }
 
 // fill resolves defaults in place.
@@ -250,6 +257,9 @@ func (o *Options) fill() {
 	}
 	if o.CompareDataflows == nil {
 		o.CompareDataflows = systolic.Compare
+	}
+	if o.Plan == nil {
+		o.Plan = ppa.NewModelPlan
 	}
 }
 

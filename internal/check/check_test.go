@@ -117,6 +117,31 @@ func TestCatchesMovementOvercount(t *testing.T) {
 	}
 }
 
+// TestCatchesCoarseShapeKey injects a model plan that groups layers by a
+// shape key ignoring ActiveCopies, so the stress model's g1dmoe.active1 layer
+// is costed as its two-active-copy twin, and proves the invariants family's
+// direct/plan/summary bit-identity check flags it.
+func TestCatchesCoarseShapeKey(t *testing.T) {
+	coarse := func(m *workload.Model) *ppa.ModelPlan {
+		first := map[workload.Layer]workload.Layer{}
+		merged := *m
+		merged.Layers = make([]workload.Layer, len(m.Layers))
+		for i, l := range m.Layers {
+			key := l
+			key.Name, key.ActiveCopies = "", 0
+			if _, ok := first[key]; !ok {
+				first[key] = l
+			}
+			merged.Layers[i] = first[key]
+		}
+		return ppa.NewModelPlan(&merged)
+	}
+	r := Run(Options{Models: stressOnly(), Tiles: 1, Trials: 1, Plan: coarse})
+	if n := sectionFailed(t, r, "invariants"); n == 0 {
+		t.Fatalf("harness missed the too-coarse shape key:\n%s", r)
+	}
+}
+
 // TestReportRendering pins the report format: per-section summary lines, the
 // verdict line, stored violation detail, and the overflow marker past the
 // per-section cap.

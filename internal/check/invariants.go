@@ -5,7 +5,8 @@ package check
 // batch monotonicity and weight amortization, area additivity across banks,
 // latency non-increase under bank growth, leakage recomputation, and
 // bit-identity between the direct, precomputed-plan and summary evaluation
-// paths — plus the randomized DSE selection soundness check.
+// paths on a homogeneous and a mix configuration — plus the randomized DSE
+// selection soundness check.
 
 import (
 	"fmt"
@@ -35,36 +36,55 @@ func computeTotals(e *ppa.Eval) (latS, dynPJ float64) {
 	return latS, dynPJ
 }
 
+// identityTriple checks bit-identity across the three evaluation paths on one
+// configuration: the direct per-layer evaluator, the precomputed-plan
+// evaluator (one kernel call per distinct shape, materialized per layer) and
+// the allocation-lean summary must agree exactly, not approximately. It
+// returns the plan evaluation and the summary for further checks, or ok =
+// false when a path errored.
+func identityTriple(col *collector, m *workload.Model, plan *ppa.ModelPlan, c hw.Config, cfg string) (planned *ppa.Eval, sum ppa.Summary, ok bool) {
+	direct, err := ppa.Evaluate(m, c)
+	if !col.check(err == nil, m.Name, "", cfg, "Evaluate: %v", err) {
+		return nil, sum, false
+	}
+	planned, err = plan.Evaluate(c)
+	if !col.check(err == nil, m.Name, "", cfg, "plan.Evaluate: %v", err) {
+		return nil, sum, false
+	}
+	sum, err = plan.Summary(c, 1)
+	if !col.check(err == nil, m.Name, "", cfg, "plan.Summary: %v", err) {
+		return nil, sum, false
+	}
+	col.check(direct.Summary() == planned.Summary(), m.Name, "", cfg,
+		"direct and plan evaluation differ: %+v vs %+v", direct.Summary(), planned.Summary())
+	col.check(planned.Summary() == sum, m.Name, "", cfg,
+		"plan evaluation and summary differ: %+v vs %+v", planned.Summary(), sum)
+	return planned, sum, true
+}
+
 // checkInvariants runs the per-model metamorphic invariants at a fixed base
 // point, with one axis perturbed at a time.
 func checkInvariants(o *Options) Section {
 	col := newCollector("invariants")
 	base := hw.Point{SASize: 32, NSA: 16, NAct: 16, NPool: 16}
+	// The mix point activates every type of the default catalogue, so the
+	// plan's per-shape mix dispatch is checked against the direct path too.
+	var mix hw.Mix
+	for ti := range hw.Default().Chiplets {
+		mix.Counts[ti] = uint16(16 >> ti)
+	}
+	mixPt := hw.Point{Mix: mix, NAct: 16, NPool: 16}
 	for _, m := range o.Models {
 		models := []*workload.Model{m}
+		plan := o.Plan(m)
+		identityTriple(col, m, plan, hw.NewConfig(mixPt, models), mixPt.String())
+
 		c := hw.NewConfig(base, models)
 		cfg := c.Point.String()
-		plan := ppa.NewModelPlan(m)
-
-		// Bit-identity across the three evaluation paths: the direct
-		// per-layer evaluator, the precomputed-plan evaluator, and the
-		// allocation-lean summary must agree exactly, not approximately.
-		direct, err := ppa.Evaluate(m, c)
-		if !col.check(err == nil, m.Name, "", cfg, "Evaluate: %v", err) {
+		planned, sum, ok := identityTriple(col, m, plan, c, cfg)
+		if !ok {
 			continue
 		}
-		planned, err := plan.Evaluate(c)
-		if !col.check(err == nil, m.Name, "", cfg, "plan.Evaluate: %v", err) {
-			continue
-		}
-		sum, err := plan.Summary(c, 1)
-		if !col.check(err == nil, m.Name, "", cfg, "plan.Summary: %v", err) {
-			continue
-		}
-		col.check(direct.Summary() == planned.Summary(), m.Name, "", cfg,
-			"direct and plan evaluation differ: %+v vs %+v", direct.Summary(), planned.Summary())
-		col.check(planned.Summary() == sum, m.Name, "", cfg,
-			"plan evaluation and summary differ: %+v vs %+v", planned.Summary(), sum)
 
 		// Leakage is a pure recomputation from area and latency.
 		wantLeak := hw.LeakageMWPerMM2 * 1e-3 * sum.AreaMM2 * sum.LatencyS * 1e12

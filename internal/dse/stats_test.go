@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/hw"
 	"repro/internal/workload"
 )
@@ -68,5 +69,42 @@ func TestExploreStatsPricingMatchesHelpers(t *testing.T) {
 	}
 	if stats.MaxRetained <= 0 || stats.Retained <= 0 {
 		t.Errorf("retained counters not populated: %+v", stats)
+	}
+}
+
+// TestRecountOnlySurvivors pins the feasibility recount's work counter on the
+// fine space: pass 2 re-evaluates only the pass-1 survivors (Recounted well
+// below Points), and Result.Feasible still equals the eager reference's count
+// at every worker count and chunk size. Recounted depends on how fast the
+// shards' references tighten, so only the single-worker value is pinned; with
+// one shard it does not depend on the chunk size.
+func TestRecountOnlySurvivors(t *testing.T) {
+	fine := hw.FineSpace()
+	models := []*workload.Model{workload.NewAlexNet(), workload.NewViTBase(), workload.NewResNet18()}
+	cons := DefaultConstraints()
+	want, err := exploreReference(models, fine.Points(), cons, eval.New(eval.Options{Workers: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := fine.Len()
+	for _, workers := range []int{1, 3, 8} {
+		for _, chunk := range []int{1, 7, n} {
+			var stats ExploreStats
+			got, err := ExploreSpace(models, fine, cons, eval.New(eval.Options{Workers: workers}),
+				&ExploreOptions{ChunkSize: chunk, Stats: &stats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Feasible != want.Feasible {
+				t.Errorf("workers=%d chunk=%d: Feasible = %d, reference %d", workers, chunk, got.Feasible, want.Feasible)
+			}
+			if stats.Recounted < got.Feasible || stats.Recounted >= stats.Points {
+				t.Errorf("workers=%d chunk=%d: Recounted = %d, want in [%d, %d)",
+					workers, chunk, stats.Recounted, got.Feasible, stats.Points)
+			}
+			if workers == 1 && stats.Recounted != 3287 {
+				t.Errorf("chunk=%d: single-worker Recounted = %d, want 3287", chunk, stats.Recounted)
+			}
+		}
 	}
 }

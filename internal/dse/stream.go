@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -70,6 +71,13 @@ type ExploreStats struct {
 	// proved irrelevant and never evaluated (0 unless EarlyExit is set and
 	// the space exposes corner bounds).
 	SkippedPoints int
+	// Recounted is the number of points the feasibility recount re-evaluated:
+	// the pass-1 survivors, the points that met the static constraints and
+	// their shard's scan-time slack reference. Every other point is provably
+	// infeasible, so Recounted <= Points - SkippedPoints. It depends on how
+	// fast the shards' references tightened, so it varies with the worker
+	// count; with one worker it is deterministic.
+	Recounted int
 	// RefinedPoints and ThermalRejected report the staged pipeline's stage-1
 	// work: frontier candidates re-scored with the physical models, and how
 	// many of them the junction-temperature check rejected. Both zero under
@@ -319,8 +327,9 @@ func dedupe(space []hw.Point) hw.DesignSpace {
 }
 
 // sweepState is the read-mostly shared state of one streaming exploration:
-// the space, the per-model configuration templates, the summary path, and
-// the lock-free slack watermark (per-model float bits, min-only updates).
+// the space, the per-model configuration templates, the summary path, the
+// lock-free slack watermark (per-model float bits, min-only updates), and
+// the pass-1 survivor bitmap.
 type sweepState struct {
 	ctx     context.Context
 	space   hw.DesignSpace
@@ -328,27 +337,55 @@ type sweepState struct {
 	tmpl    []hw.Config
 	cons    Constraints
 	summary func(*workload.Model, hw.Config) (ppa.Summary, error)
+	// plans, when set, replaces summary with direct calls on each model's
+	// plan, resolved once per sweep (the cache-bypassing path).
+	plans   []*ppa.ModelPlan
 	n       int
 	wmBits  []atomic.Uint64 // per-model slack watermark; only ever decreases
 	bestLat []float64       // final per-model references, set before pass 2
 	latLB   []float64       // corner latency lower bounds (early-exit mode only)
 	scanned atomic.Int64    // cumulative points scanned (progress reporting)
+	// survivors has bit k set when point k passed the static constraints and
+	// its shard's scan-time slack reference: the only points pass 2 recounts.
+	survivors []atomic.Uint64
 }
 
 // newSweepState builds the shared sweep state with the watermark at +Inf.
 func newSweepState(ctx context.Context, space hw.DesignSpace, models []*workload.Model, tmpl []hw.Config,
 	cons Constraints, summary func(*workload.Model, hw.Config) (ppa.Summary, error)) *sweepState {
+	n := space.Len()
 	sw := &sweepState{
 		ctx:   ctx,
 		space: space, models: models, tmpl: tmpl, cons: cons,
-		summary: summary, n: space.Len(),
-		wmBits: make([]atomic.Uint64, len(models)),
+		summary: summary, n: n,
+		wmBits:    make([]atomic.Uint64, len(models)),
+		survivors: make([]atomic.Uint64, (n+63)/64),
 	}
 	inf := math.Float64bits(math.Inf(1))
 	for i := range sw.wmBits {
 		sw.wmBits[i].Store(inf)
 	}
 	return sw
+}
+
+// summaryAt evaluates model i on configuration c.
+func (sw *sweepState) summaryAt(i int, c hw.Config) (ppa.Summary, error) {
+	if sw.plans != nil {
+		return sw.plans[i].Summary(c, 1)
+	}
+	return sw.summary(sw.models[i], c)
+}
+
+// markSurvivor sets point k's survivor bit. Chunks need not be word-aligned,
+// so two shards can share a word; the CAS loop makes the OR atomic.
+func (sw *sweepState) markSurvivor(k int) {
+	w, bit := &sw.survivors[k>>6], uint64(1)<<(k&63)
+	for {
+		old := w.Load()
+		if w.CompareAndSwap(old, old|bit) {
+			return
+		}
+	}
 }
 
 // exploreShard is one worker's persistent reduction state: a local dominance
@@ -365,6 +402,7 @@ type exploreShard struct {
 	lats        []float64 // per-point latency scratch
 	maxRetained int       // peak local frontier size
 	feasible    int       // pass-2 feasibility count
+	recounted   int       // points pass 2 re-evaluated
 	errIdx      int       // lowest failing point index seen by this shard
 	err         error
 
@@ -441,10 +479,10 @@ func (sh *exploreShard) scanChunk(lo, hi int) {
 	for k := lo; k < hi; k++ {
 		pt := sw.space.At(k)
 		area, ok := 0.0, true
-		for i, m := range sw.models {
+		for i := range sw.models {
 			c := sw.tmpl[i]
 			c.Point = pt
-			s, err := sw.summary(m, c)
+			s, err := sw.summaryAt(i, c)
 			if err != nil {
 				if k < sh.errIdx {
 					sh.errIdx, sh.err = k, err
@@ -474,6 +512,7 @@ func (sh *exploreShard) scanChunk(lo, hi int) {
 		if !slackOK(sh.lats, sh.wm, sw.cons.LatencySlack) {
 			continue
 		}
+		sw.markSurvivor(k)
 		if sw.latLB != nil {
 			if area < sh.admArea || (area == sh.admArea && k < sh.admIdx) {
 				sh.admArea, sh.admIdx = area, k
@@ -501,35 +540,48 @@ func (sh *exploreShard) scanChunk(lo, hi int) {
 }
 
 // countChunk is the pass-2 reduction: counts points in [lo, hi) that are
-// statically feasible and slack-feasible against the final references.
-// Errors are ignored — pass 1 visited every point and already surfaced the
-// lowest-index failure.
+// statically feasible and slack-feasible against the final references. It
+// re-evaluates only the pass-1 survivors: every other point failed a static
+// constraint or the slack test against a scan-time reference, and a scan-time
+// reference is never tighter than the final one (DESIGN.md §8), so it fails
+// the final test too. Errors are ignored — pass 1 visited every point and
+// already surfaced the lowest-index failure.
 func (sh *exploreShard) countChunk(lo, hi int) {
 	sw := sh.sw
 	if sw.ctx.Err() != nil {
 		return
 	}
-	for k := lo; k < hi; k++ {
-		pt := sw.space.At(k)
-		ok := true
-		for i, m := range sw.models {
-			c := sw.tmpl[i]
-			c.Point = pt
-			s, err := sw.summary(m, c)
-			if err != nil {
-				ok = false
-				break
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		word := sw.survivors[wi].Load()
+		for word != 0 {
+			k := wi<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if k < lo || k >= hi {
+				continue
 			}
-			sh.lats[i] = s.LatencyS
-			if !sw.cons.meetsStatic(s.AreaMM2, s.PowerDensity()) {
-				ok = false
-				break
+			sh.recounted++
+			if sh.feasibleAt(k) {
+				sh.feasible++
 			}
-		}
-		if ok && slackOK(sh.lats, sw.bestLat, sw.cons.LatencySlack) {
-			sh.feasible++
 		}
 	}
+}
+
+// feasibleAt reports whether point k meets the static constraints and the
+// latency slack against the final references.
+func (sh *exploreShard) feasibleAt(k int) bool {
+	sw := sh.sw
+	pt := sw.space.At(k)
+	for i := range sw.models {
+		c := sw.tmpl[i]
+		c.Point = pt
+		s, err := sw.summaryAt(i, c)
+		if err != nil || !sw.cons.meetsStatic(s.AreaMM2, s.PowerDensity()) {
+			return false
+		}
+		sh.lats[i] = s.LatencyS
+	}
+	return slackOK(sh.lats, sw.bestLat, sw.cons.LatencySlack)
 }
 
 // cornerBounds holds the monotone bounds an early-exiting sweep stops
@@ -562,10 +614,10 @@ func buildCornerBounds(space hw.DesignSpace, sw *sweepState) *cornerBounds {
 		latLB[i] = math.Inf(1)
 	}
 	for _, pt := range corners {
-		for i, m := range sw.models {
+		for i := range sw.models {
 			c := sw.tmpl[i]
 			c.Point = pt
-			s, err := sw.summary(m, c)
+			s, err := sw.summaryAt(i, c)
 			if err != nil {
 				return nil
 			}
@@ -687,10 +739,7 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 	}
 	useCache := o.Cache == CacheAlways || (o.Cache == CacheAuto && int64(n)*int64(len(models)) <= cacheAutoLimit)
 	summary := func(m *workload.Model, c hw.Config) (ppa.Summary, error) {
-		if useCache {
-			return ev.EvaluateSummary(m, c, 1)
-		}
-		return ev.EvaluateSummaryUncached(m, c, 1)
+		return ev.EvaluateSummary(m, c, 1)
 	}
 
 	// Per-model configuration templates; the point is stamped in per
@@ -705,6 +754,14 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 	}
 
 	sw := newSweepState(ctx, space, models, tmpl, cons, summary)
+	if !useCache {
+		// Bypass the result cache: resolve each model's plan once, not once
+		// per (point, model).
+		sw.plans = make([]*ppa.ModelPlan, len(models))
+		for i, m := range models {
+			sw.plans[i] = ev.Plan(m)
+		}
+	}
 	shards := make([]*exploreShard, ev.Workers())
 	scan := func(base, end int) {
 		ev.ForEachChunkWorker(end-base, chunk, func(worker, lo, hi int) {
@@ -852,10 +909,11 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 
 	// Feasibility count: pruned points (dominated, or watermark-dropped) can
 	// still be slack-feasible, so Result.Feasible needs its own streaming
-	// pass now that the reference is final. With caching on this is pure
-	// cache hits; without, it re-runs the closed-form kernels. The count is a
-	// sum, so chunk/worker order cannot affect it. Shards are reused for
-	// their scratch; late-binding workers get a fresh one.
+	// pass now that the reference is final. It visits only the pass-1
+	// survivors in the bitmap; with caching on those are pure cache hits,
+	// without, it re-runs the closed-form kernels on them alone. The count
+	// is a sum, so chunk/worker order cannot affect it. Shards are reused
+	// for their scratch; late-binding workers get a fresh one.
 	sw.bestLat = bestLat
 	ev.ForEachChunkWorker(scanned, chunk, func(worker, lo, hi int) {
 		sh := shards[worker]
@@ -865,10 +923,11 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 		}
 		sh.countChunk(lo, hi)
 	})
-	feasible := 0
+	feasible, recounted := 0, 0
 	for _, sh := range shards {
 		if sh != nil {
 			feasible += sh.feasible
+			recounted += sh.recounted
 		}
 	}
 	// The pass-2 count skips chunks once cancelled, so it too is only valid
@@ -890,6 +949,7 @@ func ExploreSpaceCtx(ctx context.Context, models []*workload.Model, space hw.Des
 			NaiveBytes:      naiveBytes(n, len(models)),
 			CacheBypassed:   !useCache,
 			SkippedPoints:   n - scanned,
+			Recounted:       recounted,
 			RefinedPoints:   refineStats.Refined,
 			ThermalRejected: refineStats.ThermalRejected,
 		}

@@ -229,8 +229,9 @@ func (c Config) Units() map[Unit]bool {
 
 // HasUnit reports whether the configuration provisions the unit kind, without
 // materializing the bank list — the allocation-free primitive behind coverage
-// checks on hot sweep paths.
-func (c Config) HasUnit(u Unit) bool {
+// checks on hot sweep paths. The pointer receiver spares those paths a copy
+// of the configuration per call.
+func (c *Config) HasUnit(u Unit) bool {
 	switch {
 	case u == SystolicArray:
 		return true

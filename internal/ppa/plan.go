@@ -1,14 +1,19 @@
 // Layer-granular cost kernels and precomputed model plans.
 //
 // The analytical model factors cleanly by layer, and each layer's cost
-// depends only on a small sub-parameterization of the configuration: a
-// compute layer's fold/stream decomposition depends only on (layer, SASize)
-// — 3 distinct values across the whole 81-point space, not 81 — and an
-// element-wise layer depends only on (layer, bank count, precision). A
-// ModelPlan precomputes everything that is configuration-independent
-// (MAC/param/element counts) once per model and caches the per-SASize fold
-// decompositions, so evaluating one space point collapses to closed-form
-// arithmetic over cached integers with near-zero allocation.
+// depends only on its shape and a small sub-parameterization of the
+// configuration: a compute layer's fold/stream decomposition depends only on
+// (shape, SASize) — 3 distinct values across the whole 81-point space, not
+// 81 — and an element-wise layer only on (shape, bank count, precision).
+// Networks repeat shapes heavily: the 13 training networks have 2,263 layers
+// but only 389 distinct shapes (BERT-base's 84 layers are 4 shapes). A
+// ModelPlan therefore groups layers by shape once per model (every
+// workload.Layer field except Name), precomputes the configuration-independent
+// counts once per shape, and caches the per-SASize fold decompositions as one
+// row per shape. Evaluating one configuration runs each kernel once per
+// distinct shape, then adds the per-shape latency and energy into the totals
+// in layer order — the same addends in the same order as the per-layer path,
+// so every total is bit-identical to it.
 //
 // Summary is the allocation-lean result form: exactly the whole-algorithm
 // totals of Eval without the per-layer []LayerEval breakdown. Sweeps filter
@@ -18,13 +23,14 @@ package ppa
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/hw"
 	"repro/internal/workload"
 )
 
-// layerPlan carries the configuration-independent cost inputs of one layer.
+// layerPlan carries the configuration-independent cost inputs of one layer
+// shape.
 type layerPlan struct {
 	unit    hw.Unit
 	compute bool
@@ -53,45 +59,6 @@ func layerPlanOf(l workload.Layer) layerPlan {
 	return lp
 }
 
-// planSoA is the structure-of-arrays view of a model's per-layer plans:
-// dense columns indexed by layer, so the hot homogeneous summary loop walks
-// contiguous int64 slices instead of chasing per-layer structs. Values are
-// identical to the layerPlan AoS view; only the layout differs.
-type planSoA struct {
-	compute  []bool
-	unit     []hw.Unit
-	macs     []int64
-	params   []int64
-	inElems  []int64
-	elemOps  []int64
-	outElems []int64
-}
-
-// grow sizes every column for n layers. All five int64 columns share one
-// backing array (three-index sliced so appends cannot bleed across), so a
-// cold plan build costs three allocations here instead of seven.
-func (s *planSoA) grow(n int) {
-	ints := make([]int64, 5*n)
-	s.macs = ints[0*n : 1*n : 1*n]
-	s.params = ints[1*n : 2*n : 2*n]
-	s.inElems = ints[2*n : 3*n : 3*n]
-	s.elemOps = ints[3*n : 4*n : 4*n]
-	s.outElems = ints[4*n:]
-	s.compute = make([]bool, n)
-	s.unit = make([]hw.Unit, n)
-}
-
-// set writes one layer's plan into every column.
-func (s *planSoA) set(i int, lp layerPlan) {
-	s.compute[i] = lp.compute
-	s.unit[i] = lp.unit
-	s.macs[i] = lp.macs
-	s.params[i] = lp.params
-	s.inElems[i] = lp.inElems
-	s.elemOps[i] = lp.elementOps
-	s.outElems[i] = lp.outElems
-}
-
 // foldPlan is the SASize-dependent decomposition of one compute layer: the
 // weight-stationary fold/stream counts plus the output-column tiling that
 // governs activation re-streaming.
@@ -99,36 +66,13 @@ type foldPlan struct {
 	folds, streams, colTiles int64
 }
 
-// foldTable caches every layer's fold decomposition for one array dimension
-// as dense SoA columns over one shared backing array: the hot homogeneous
-// summary loop walks the columns directly, and the mix kernel and
-// materialization paths reassemble a foldPlan value through at.
+// foldTable holds one array dimension's fold decompositions, one row per
+// shape (element-wise shapes keep zero rows). Tables form an immutable
+// prepend-only list, so readers walk it without locking.
 type foldTable struct {
-	folds, streams, colTiles []int64
-}
-
-// newFoldTable builds a model's decompositions for one array dimension
-// (non-compute layers keep zero rows, as before).
-func newFoldTable(layers []workload.Layer, size int) *foldTable {
-	n := len(layers)
-	cols := make([]int64, 3*n) // one backing array for all three columns
-	ft := &foldTable{
-		folds:    cols[:n:n],
-		streams:  cols[n : 2*n : 2*n],
-		colTiles: cols[2*n:],
-	}
-	for i := range layers {
-		if layers[i].Kind.IsCompute() {
-			fp := foldPlanOf(layers[i], size)
-			ft.folds[i], ft.streams[i], ft.colTiles[i] = fp.folds, fp.streams, fp.colTiles
-		}
-	}
-	return ft
-}
-
-// at reassembles the foldPlan of one layer from the columns.
-func (ft *foldTable) at(i int) foldPlan {
-	return foldPlan{folds: ft.folds[i], streams: ft.streams[i], colTiles: ft.colTiles[i]}
+	size int
+	rows []foldPlan
+	next *foldTable
 }
 
 // foldPlanOf computes the decomposition of one compute layer for one array
@@ -154,11 +98,11 @@ type kernelOut struct {
 
 // computeKernelVals is the sized inner compute kernel over raw scalars: one
 // layer's cost on a bank of count size x size arrays with the given per-MAC
-// energy and process constants. Every compute path — the SoA summary loop,
-// the AoS materialization path and the heterogeneous mix dispatch — funnels
-// through this one function, so they share one floating-point operation
-// order. This is the innermost loop of every sweep; it touches only its
-// arguments and performs no allocation.
+// energy and process constants. Every compute path — the plan's per-shape
+// loop, the direct per-layer path and the heterogeneous mix dispatch —
+// funnels through this one function, so they share one floating-point
+// operation order. This is the innermost loop of every sweep; it touches
+// only its arguments and performs no allocation.
 func computeKernelVals(macs, params, inElems, outElems, folds, streams, colTiles int64,
 	size, count int, macPJ, clockGHz, sramBytePJ float64, bytesPer, b int64) kernelOut {
 	// Folds execute across the count arrays in waves; each fold loads its
@@ -184,18 +128,15 @@ func computeKernelVals(macs, params, inElems, outElems, folds, streams, colTiles
 	}
 }
 
-// computeKernelOn is computeKernelVals over a layer plan and a fold plan —
-// the pointer-fold-plan form the mix kernel and the materialization path use.
+// computeKernelOn is computeKernelVals over a layer plan and a fold plan.
 func computeKernelOn(lp *layerPlan, fp *foldPlan, size, count int, macPJ, clockGHz, sramBytePJ float64, bytesPer, b int64) kernelOut {
 	return computeKernelVals(lp.macs, lp.params, lp.inElems, lp.outElems,
 		fp.folds, fp.streams, fp.colTiles, size, count, macPJ, clockGHz, sramBytePJ, bytesPer, b)
 }
 
 // computeKernel evaluates a homogeneous compute layer from its precomputed
-// plans — the single implementation behind both the full and the summary
-// paths, so they are bit-identical by construction. Hot sweeps hoist the
-// catalogue resolution out of the per-layer loop and call computeKernelOn
-// directly; this wrapper serves the one-shot materialization path.
+// plans for the direct per-layer path. Plans hoist the catalogue resolution
+// out of the per-shape loop and call computeKernelOn directly.
 func computeKernel(lp *layerPlan, fp foldPlan, c *hw.Config, batch int) kernelOut {
 	cat := c.Catalogue()
 	sa := cat.SAFor(c.SASize, c.Precision)
@@ -207,16 +148,16 @@ func computeKernel(lp *layerPlan, fp foldPlan, c *hw.Config, batch int) kernelOu
 // from a plan's cached per-size tables (plan path) or recomputed per layer
 // (direct path). A value type so the hot mix sweep allocates nothing.
 type mixFoldSource struct {
-	// Plan path: per-type fold tables plus the layer index.
-	tables *[hw.MaxMixTypes]*foldTable
-	layer  int
+	// Plan path: per-type fold tables plus the shape index.
+	tables *[hw.MaxMixTypes][]foldPlan
+	shape  int
 	// Direct path: the layer itself.
 	l *workload.Layer
 }
 
 func (s mixFoldSource) at(ti, size int) foldPlan {
 	if s.tables != nil {
-		return s.tables[ti].at(s.layer)
+		return s.tables[ti][s.shape]
 	}
 	return foldPlanOf(*s.l, size)
 }
@@ -252,8 +193,8 @@ func mixComputeKernel(lp *layerPlan, src mixFoldSource, c *hw.Config, cat *hw.Ca
 // raw scalars; element-wise work scales linearly with the batch. A
 // degenerate bank (zero instances, or a throughput product below one op per
 // cycle) is clamped to the slowest physical rate instead of dividing by
-// zero. Like computeKernelVals, it is shared by the SoA summary loop and the
-// materialization path and performs no allocation.
+// zero. Like computeKernelVals, it is shared by every path and performs no
+// allocation.
 func elementKernelVals(u hw.Unit, elemOps, outElems int64, bank int, cat *hw.Catalogue, bytesPer, b int64) kernelOut {
 	p := cat.PPA(u)
 	count := int64(bank)
@@ -273,8 +214,7 @@ func elementKernelVals(u hw.Unit, elemOps, outElems int64, bank int, cat *hw.Cat
 	}
 }
 
-// elementKernel is elementKernelVals over a layer plan — the form the
-// materialization path uses.
+// elementKernel is elementKernelVals over a layer plan.
 func elementKernel(lp *layerPlan, c *hw.Config, cat *hw.Catalogue, batch int) kernelOut {
 	return elementKernelVals(lp.unit, lp.elementOps, lp.outElems,
 		bankCount(lp.unit, c), cat, int64(c.Precision.Bytes()), int64(batch))
@@ -322,37 +262,87 @@ func (e *Eval) Summary() Summary {
 	}
 }
 
-// ModelPlan is the precomputed cost plan of one model: per-layer counts
-// computed once — held both as per-layer structs (the materialization and
-// mix paths) and as dense structure-of-arrays columns (the hot summary loop)
-// — plus a lazily grown cache of per-SASize fold tables. A ModelPlan is safe
-// for concurrent use; the underlying model must not be structurally mutated
-// after the plan is built.
+// ModelPlan is the precomputed cost plan of one model: the layers grouped by
+// shape, the configuration-independent counts of each distinct shape, and a
+// lazily grown cache of per-SASize fold tables. A ModelPlan is safe for
+// concurrent use; the underlying model must not be structurally mutated after
+// the plan is built.
 type ModelPlan struct {
 	model  *workload.Model
-	layers []layerPlan
-	soa    planSoA
-	units  []hw.Unit // distinct required units, for allocation-free coverage checks
+	shape  []int32     // per layer: index of the layer's shape
+	first  []int32     // per shape: index of its first layer
+	shapes []layerPlan // per shape: configuration-independent counts
+	units  []hw.Unit   // distinct required units, for allocation-free coverage checks
 
-	mu    sync.RWMutex
-	folds map[int]*foldTable // SASize -> decomposition table (zero rows for non-compute)
+	folds atomic.Pointer[foldTable] // per-SASize tables, newest first
 }
 
-// NewModelPlan builds the plan for a model, precomputing every
-// configuration-independent per-layer quantity.
-func NewModelPlan(m *workload.Model) *ModelPlan {
-	p := &ModelPlan{
-		model:  m,
-		layers: make([]layerPlan, len(m.Layers)),
-		units:  make([]hw.Unit, 0, hw.NumUnits),
-		folds:  make(map[int]*foldTable, 8),
+// sameShape reports whether two layers have the same shape: every
+// workload.Layer field except Name, which no kernel reads. Layers of the same
+// shape cost the same on every configuration, so a plan evaluates each shape
+// once. The comparison is whole-struct, so a field added to Layer joins the
+// shape automatically.
+func sameShape(a, b *workload.Layer) bool {
+	x := *a
+	x.Name = b.Name
+	return x == *b
+}
+
+// shapeHash mixes the shape fields of a layer (FNV-1a over words). Layers of
+// the same shape hash equally; the plan builder confirms every hit with
+// sameShape, so a field missing here would only weaken the hash, never merge
+// distinct shapes.
+func shapeHash(l *workload.Layer) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range [...]int{
+		int(l.Kind), l.IFMX, l.IFMY, l.NIFM, l.OFMX, l.OFMY, l.NOFM,
+		l.KX, l.KY, l.Stride, l.Pad, l.Groups, l.Copies, l.ActiveCopies,
+	} {
+		h = (h ^ uint64(v)) * 1099511628211
 	}
-	p.soa.grow(len(m.Layers))
+	return h
+}
+
+// NewModelPlan builds the plan for a model: it groups the layers by shape and
+// precomputes every configuration-independent per-shape quantity.
+func NewModelPlan(m *workload.Model) *ModelPlan {
+	n := len(m.Layers)
+	p := &ModelPlan{
+		model: m,
+		shape: make([]int32, n),
+		first: make([]int32, 0, n),
+		units: make([]hw.Unit, 0, hw.NumUnits),
+	}
+	// Assign shape indices in first-occurrence order through an
+	// open-addressing table of first-layer indices (+1; 0 is empty) at load
+	// factor <= 1/2. One flat slice, so a plan build never grows a map.
+	bits := 1
+	for 1<<bits < 2*n {
+		bits++
+	}
+	table := make([]int32, 1<<bits)
+	mask := uint64(len(table) - 1)
+	for i := range m.Layers {
+		l := &m.Layers[i]
+		for h := shapeHash(l) >> (64 - bits); ; h = (h + 1) & mask {
+			j := table[h]
+			if j == 0 {
+				table[h] = int32(i) + 1
+				p.shape[i] = int32(len(p.first))
+				p.first = append(p.first, int32(i))
+				break
+			}
+			if sameShape(&m.Layers[j-1], l) {
+				p.shape[i] = p.shape[j-1]
+				break
+			}
+		}
+	}
+	p.shapes = make([]layerPlan, len(p.first))
 	seen := [hw.NumUnits]bool{}
-	for i, l := range m.Layers {
-		p.layers[i] = layerPlanOf(l)
-		p.soa.set(i, p.layers[i])
-		if u := p.layers[i].unit; !seen[u] {
+	for k, i := range p.first {
+		p.shapes[k] = layerPlanOf(m.Layers[i])
+		if u := p.shapes[k].unit; !seen[u] {
 			seen[u] = true
 			p.units = append(p.units, u)
 		}
@@ -363,30 +353,37 @@ func NewModelPlan(m *workload.Model) *ModelPlan {
 // Model returns the model the plan was built for.
 func (p *ModelPlan) Model() *workload.Model { return p.model }
 
-// foldsFor returns the fold table for one array dimension, computing and
-// caching it on first use. Across the 81-point space only the distinct
-// SASize values (3) ever trigger a computation.
-func (p *ModelPlan) foldsFor(size int) *foldTable {
-	p.mu.RLock()
-	ft, ok := p.folds[size]
-	p.mu.RUnlock()
-	if ok {
-		return ft
+// Shapes returns the number of distinct layer shapes: the kernel evaluations
+// one Summary or EvaluateBatch call performs.
+func (p *ModelPlan) Shapes() int { return len(p.shapes) }
+
+// foldsFor returns the per-shape fold rows for one array dimension, computing
+// and publishing them on first use. Across the 81-point space only the
+// distinct SASize values (3) ever trigger a computation; every later call is
+// one atomic load and a short list walk, with no lock.
+func (p *ModelPlan) foldsFor(size int) []foldPlan {
+	head := p.folds.Load()
+	for ft := head; ft != nil; ft = ft.next {
+		if ft.size == size {
+			return ft.rows
+		}
 	}
-	ft = newFoldTable(p.model.Layers, size)
-	p.mu.Lock()
-	if prior, ok := p.folds[size]; ok {
-		ft = prior
-	} else {
-		p.folds[size] = ft
+	ft := &foldTable{size: size, rows: make([]foldPlan, len(p.shapes)), next: head}
+	for k, i := range p.first {
+		if p.shapes[k].compute {
+			ft.rows[k] = foldPlanOf(p.model.Layers[i], size)
+		}
 	}
-	p.mu.Unlock()
-	return ft
+	if p.folds.CompareAndSwap(head, ft) {
+		return ft.rows
+	}
+	// Another table was published first; it may be this very size.
+	return p.foldsFor(size)
 }
 
 // supports reports whether the configuration covers every unit the model
 // needs, without allocating (the plan equivalent of hw.Config.Supports).
-func (p *ModelPlan) supports(c hw.Config) bool {
+func (p *ModelPlan) supports(c *hw.Config) bool {
 	for _, u := range p.units {
 		if !c.HasUnit(u) {
 			return false
@@ -397,7 +394,7 @@ func (p *ModelPlan) supports(c hw.Config) bool {
 
 // check validates the batch size, mix sanity and unit coverage, mirroring
 // EvaluateBatch's error contract.
-func (p *ModelPlan) check(c hw.Config, batch int) error {
+func (p *ModelPlan) check(c *hw.Config, batch int) error {
 	if batch < 1 {
 		return fmt.Errorf("ppa: batch %d", batch)
 	}
@@ -411,65 +408,83 @@ func (p *ModelPlan) check(c hw.Config, batch int) error {
 	return nil
 }
 
-// mixFolds fills the per-type fold tables one heterogeneous evaluation needs:
-// one cached per-size table per active mix type.
-func (p *ModelPlan) mixFolds(c *hw.Config, cat *hw.Catalogue, out *[hw.MaxMixTypes]*foldTable) {
-	for ti := range cat.Chiplets {
-		if c.Mix.Counts[ti] > 0 {
-			out[ti] = p.foldsFor(cat.Chiplets[ti].SASize)
+// shapeEval evaluates single shapes of a plan on one configuration. It holds
+// what an evaluation resolves once per call rather than once per shape: the
+// catalogue, the fold rows and the per-MAC energy. The configuration itself
+// is passed to cost, so it never escapes the caller's stack.
+type shapeEval struct {
+	p      *ModelPlan
+	cat    *hw.Catalogue
+	batch  int
+	mix    bool
+	ft     []foldPlan                 // homogeneous: rows for c.SASize
+	mixFts [hw.MaxMixTypes][]foldPlan // mix: rows per active type's SASize
+	macPJ  float64
+}
+
+// init resolves the per-call state for evaluating p's shapes on c.
+func (e *shapeEval) init(p *ModelPlan, c *hw.Config, batch int) {
+	e.p, e.cat, e.batch, e.mix = p, c.Catalogue(), batch, !c.Mix.IsZero()
+	if e.mix {
+		for ti := range e.cat.Chiplets {
+			if c.Mix.Counts[ti] > 0 {
+				e.mixFts[ti] = p.foldsFor(e.cat.Chiplets[ti].SASize)
+			}
 		}
+	} else {
+		e.ft = p.foldsFor(c.SASize)
+		e.macPJ = e.cat.SAFor(c.SASize, c.Precision).MacPJ
 	}
 }
 
+// cost runs shape k's kernel on c, the configuration e was built for.
+func (e *shapeEval) cost(k int, c *hw.Config) kernelOut {
+	lp := &e.p.shapes[k]
+	switch {
+	case !lp.compute:
+		return elementKernel(lp, c, e.cat, e.batch)
+	case e.mix:
+		return mixComputeKernel(lp, mixFoldSource{tables: &e.mixFts, shape: k}, c, e.cat, e.batch)
+	default:
+		return computeKernelOn(lp, &e.ft[k], c.SASize, c.NSA, e.macPJ,
+			e.cat.ClockGHz, e.cat.SRAMBytePJ, int64(c.Precision.Bytes()), int64(e.batch))
+	}
+}
+
+// shapeTotals is the part of a shape's cost the summary totals add up.
+type shapeTotals struct{ latencyS, energyPJ float64 }
+
+// maxStackShapes is how many per-shape results Summary keeps on the stack.
+// It covers every network of the paper sets (Densenet121 has the most
+// shapes, 138); a plan with more takes one heap allocation per call.
+const maxStackShapes = 160
+
 // Summary evaluates the scalar totals of the model on one configuration with
-// zero steady-state allocation: cheap closed-form arithmetic over the cached
-// plans, accumulated in layer order so the result is bit-identical to
-// EvaluateBatch's totals. The homogeneous path — the innermost loop of every
-// sweep — walks the plan's dense SoA columns and the per-SASize fold table as
-// tight loops over cached integers; the heterogeneous path keeps the
-// pointer-fold-plan dispatch.
+// zero steady-state allocation. Walking the layers in order, it runs the
+// kernel at each shape's first occurrence and reuses that result at every
+// repeat, adding latency and energy in layer order — so the result is
+// bit-identical to EvaluateBatch's totals and to the direct per-layer path.
 func (p *ModelPlan) Summary(c hw.Config, batch int) (Summary, error) {
-	if err := p.check(c, batch); err != nil {
+	if err := p.check(&c, batch); err != nil {
 		return Summary{}, err
 	}
-	cat := c.Catalogue()
-	bytesPer := int64(c.Precision.Bytes())
-	b := int64(batch)
-	s := Summary{AreaMM2: c.AreaMM2()}
-	if mix := !c.Mix.IsZero(); mix {
-		var mixFts [hw.MaxMixTypes]*foldTable
-		p.mixFolds(&c, cat, &mixFts)
-		for i := range p.layers {
-			var out kernelOut
-			if !p.layers[i].compute {
-				out = elementKernel(&p.layers[i], &c, cat, batch)
-			} else {
-				out = mixComputeKernel(&p.layers[i], mixFoldSource{tables: &mixFts, layer: i}, &c, cat, batch)
-			}
-			s.LatencyS += out.latencyS
-			s.DynamicPJ += out.energyPJ
-		}
-	} else {
-		ft := p.foldsFor(c.SASize)
-		macPJ := cat.SAFor(c.SASize, c.Precision).MacPJ
-		clockGHz, sramBytePJ := cat.ClockGHz, cat.SRAMBytePJ
-		size, count := c.SASize, c.NSA
-		soa := &p.soa
-		for i := range soa.compute {
-			var out kernelOut
-			if soa.compute[i] {
-				out = computeKernelVals(soa.macs[i], soa.params[i], soa.inElems[i], soa.outElems[i],
-					ft.folds[i], ft.streams[i], ft.colTiles[i], size, count,
-					macPJ, clockGHz, sramBytePJ, bytesPer, b)
-			} else {
-				out = elementKernelVals(soa.unit[i], soa.elemOps[i], soa.outElems[i],
-					bankCount(soa.unit[i], &c), cat, bytesPer, b)
-			}
-			s.LatencyS += out.latencyS
-			s.DynamicPJ += out.energyPJ
-		}
+	var e shapeEval
+	e.init(p, &c, batch)
+	var buf [maxStackShapes]shapeTotals
+	costs := buf[:]
+	if len(p.shapes) > len(buf) {
+		costs = make([]shapeTotals, len(p.shapes))
 	}
-	leakW := cat.LeakageMWPerMM2 * 1e-3 * s.AreaMM2
+	s := Summary{AreaMM2: c.AreaMM2()}
+	for i, k := range p.shape {
+		if int(p.first[k]) == i {
+			out := e.cost(int(k), &c)
+			costs[k] = shapeTotals{out.latencyS, out.energyPJ}
+		}
+		s.LatencyS += costs[k].latencyS
+		s.DynamicPJ += costs[k].energyPJ
+	}
+	leakW := e.cat.LeakageMWPerMM2 * 1e-3 * s.AreaMM2
 	s.LeakagePJ = leakW * s.LatencyS * 1e12
 	return s, nil
 }
@@ -480,53 +495,32 @@ func (p *ModelPlan) Evaluate(c hw.Config) (*Eval, error) {
 }
 
 // EvaluateBatch materializes the full per-layer evaluation from the cached
-// plans; identical to ppa.EvaluateBatch on the same inputs.
+// plans; identical to ppa.EvaluateBatch on the same inputs. Each shape's
+// kernel runs once, at its first layer; repeats copy that layer's costs.
 func (p *ModelPlan) EvaluateBatch(c hw.Config, batch int) (*Eval, error) {
-	if err := p.check(c, batch); err != nil {
+	if err := p.check(&c, batch); err != nil {
 		return nil, err
 	}
-	cat := c.Catalogue()
-	mix := !c.Mix.IsZero()
-	var ft *foldTable
-	var mixFts [hw.MaxMixTypes]*foldTable
-	var macPJ float64
-	if mix {
-		p.mixFolds(&c, cat, &mixFts)
-	} else {
-		ft = p.foldsFor(c.SASize)
-		macPJ = cat.SAFor(c.SASize, c.Precision).MacPJ
-	}
-	bytesPer := int64(c.Precision.Bytes())
-	b := int64(batch)
+	var se shapeEval
+	se.init(p, &c, batch)
 	e := &Eval{Model: p.model, Config: c, AreaMM2: c.AreaMM2()}
-	e.Layers = make([]LayerEval, len(p.layers))
-	for i := range p.layers {
-		var out kernelOut
-		switch {
-		case !p.layers[i].compute:
-			out = elementKernel(&p.layers[i], &c, cat, batch)
-		case mix:
-			out = mixComputeKernel(&p.layers[i], mixFoldSource{tables: &mixFts, layer: i}, &c, cat, batch)
-		default:
-			fp := ft.at(i)
-			out = computeKernelOn(&p.layers[i], &fp, c.SASize, c.NSA, macPJ,
-				cat.ClockGHz, cat.SRAMBytePJ, bytesPer, b)
+	e.Layers = make([]LayerEval, len(p.shape))
+	for i, k := range p.shape {
+		le := &e.Layers[i]
+		if f := int(p.first[k]); f == i {
+			out := se.cost(int(k), &c)
+			le.Unit = p.shapes[k].unit
+			le.Executions, le.LatencyS, le.EnergyPJ, le.OutBytes = out.executions, out.latencyS, out.energyPJ, out.outBytes
+		} else {
+			*le = e.Layers[f]
 		}
-		e.Layers[i] = LayerEval{
-			Layer:      p.model.Layers[i],
-			Index:      i,
-			Unit:       p.layers[i].unit,
-			Executions: out.executions,
-			LatencyS:   out.latencyS,
-			EnergyPJ:   out.energyPJ,
-			OutBytes:   out.outBytes,
-		}
-		e.LatencyS += out.latencyS
-		e.DynamicPJ += out.energyPJ
+		le.Layer, le.Index = p.model.Layers[i], i
+		e.LatencyS += le.LatencyS
+		e.DynamicPJ += le.EnergyPJ
 	}
 	// Leakage across the whole chip for the whole run; the paper applies no
 	// power gating, so idle units leak too.
-	leakW := cat.LeakageMWPerMM2 * 1e-3 * e.AreaMM2
+	leakW := se.cat.LeakageMWPerMM2 * 1e-3 * e.AreaMM2
 	e.LeakagePJ = leakW * e.LatencyS * 1e12
 	return e, nil
 }

@@ -15,15 +15,18 @@ func allNetworks() []*workload.Model {
 
 // TestPlanMatchesDirectEvaluationBitExact pins the tentpole invariant: the
 // precomputed-plan paths (full and summary) are bit-identical to the direct
-// ppa.EvaluateBatch path for every network, across space corners and batch
-// sizes — the kernel refactor must not move a single float.
+// ppa.EvaluateBatch path for every network, across space corners, a mix of
+// the default catalogue's types and batch sizes — the kernel refactor must
+// not move a single float. The stress model adds repeated and near-twin
+// shapes that the plan's shape grouping must keep apart.
 func TestPlanMatchesDirectEvaluationBitExact(t *testing.T) {
 	points := []hw.Point{
 		{SASize: 16, NSA: 16, NAct: 16, NPool: 16},
 		{SASize: 32, NSA: 32, NAct: 16, NPool: 16},
 		{SASize: 64, NSA: 64, NAct: 64, NPool: 64},
+		{Mix: hw.Mix{Counts: [hw.MaxMixTypes]uint16{8, 4, 2}}, NAct: 16, NPool: 16},
 	}
-	for _, m := range allNetworks() {
+	for _, m := range append(allNetworks(), workload.NewGroupedStress()) {
 		plan := NewModelPlan(m)
 		for _, p := range points {
 			c := hw.NewConfig(p, []*workload.Model{m})
@@ -49,6 +52,32 @@ func TestPlanMatchesDirectEvaluationBitExact(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPlanShapeCounts pins the per-point kernel work of the shape-grouped
+// plans: one kernel evaluation per distinct layer shape, 389 for the 2,263
+// layers of the 13 training networks and 46 for the 149 layers of the three
+// mix-space networks. The stress model keeps every near-twin apart and merges
+// only its one exact repeat.
+func TestPlanShapeCounts(t *testing.T) {
+	count := func(ms []*workload.Model) (layers, shapes int) {
+		for _, m := range ms {
+			layers += len(m.Layers)
+			shapes += NewModelPlan(m).Shapes()
+		}
+		return layers, shapes
+	}
+	if l, s := count(workload.TrainingSet()); l != 2263 || s != 389 {
+		t.Errorf("training set: %d layers, %d shapes; want 2263, 389", l, s)
+	}
+	mixNets := []*workload.Model{workload.NewAlexNet(), workload.NewViTBase(), workload.NewResNet18()}
+	if l, s := count(mixNets); l != 149 || s != 46 {
+		t.Errorf("mix nets: %d layers, %d shapes; want 149, 46", l, s)
+	}
+	stress := workload.NewGroupedStress()
+	if got, want := NewModelPlan(stress).Shapes(), len(stress.Layers)-1; got != want {
+		t.Errorf("stress model: %d shapes, want %d", got, want)
 	}
 }
 
@@ -88,7 +117,7 @@ func TestSummaryErrorsMirrorEvaluate(t *testing.T) {
 }
 
 // TestPlanConcurrentUse hammers one plan from many goroutines across array
-// sizes; run under -race this guards the fold-cache locking.
+// sizes; run under -race this guards the lock-free fold-table publication.
 func TestPlanConcurrentUse(t *testing.T) {
 	m := workload.NewResNet18()
 	plan := NewModelPlan(m)
@@ -243,9 +272,10 @@ func TestBatchedEvaluationInvariants(t *testing.T) {
 
 // TestColdPlanBuildAllocs pins the cold-path allocation contract: building a
 // ModelPlan plus the fold tables for three distinct array dimensions costs a
-// fixed, layer-count-independent number of allocations (the SoA columns and
-// fold-table columns each share one backing array). Currently 14; the bound
-// leaves slack for runtime-version noise only.
+// fixed, layer-count-independent number of allocations (the shape index
+// builds in one flat table, and each fold table is one node plus one row
+// slice). Currently 12; the bound leaves slack for runtime-version noise
+// only.
 func TestColdPlanBuildAllocs(t *testing.T) {
 	for _, m := range allNetworks() {
 		m := m

@@ -10,6 +10,11 @@ package workload
 // networks so every grouped code path is exercised even though only the
 // MobileNet-class members of the paper sets use grouped convolution — and
 // none use grouped Conv1d at all.
+//
+// It also repeats shapes the way real networks do, for the plans that
+// evaluate each distinct layer shape once: an exact repeat under a new name,
+// and layer pairs that differ only in Copies, only in ActiveCopies and only
+// in Groups, which a shape key must keep apart.
 func NewGroupedStress() *Model {
 	m := &Model{Name: "GroupedStress", Class: "synthetic", Source: "internal/check"}
 	m.Layers = []Layer{
@@ -41,6 +46,17 @@ func NewGroupedStress() *Model {
 		// Grouped mixture-of-experts Conv1d: ActiveCopies multiplies folds.
 		{Kind: Conv1d, Name: "g1dmoe", IFMX: 32, OFMX: 32, NIFM: 32,
 			NOFM: 64, KX: 1, Stride: 1, Groups: 2, Copies: 4, ActiveCopies: 2},
+		// Shape repeats: g1dmoe again under a new name, then variants that
+		// differ from it only in ActiveCopies (folds and MACs), only in
+		// Copies (weight traffic) and only in Groups.
+		{Kind: Conv1d, Name: "g1dmoe.rep", IFMX: 32, OFMX: 32, NIFM: 32,
+			NOFM: 64, KX: 1, Stride: 1, Groups: 2, Copies: 4, ActiveCopies: 2},
+		{Kind: Conv1d, Name: "g1dmoe.active1", IFMX: 32, OFMX: 32, NIFM: 32,
+			NOFM: 64, KX: 1, Stride: 1, Groups: 2, Copies: 4, ActiveCopies: 1},
+		{Kind: Conv1d, Name: "g1dmoe.copies8", IFMX: 32, OFMX: 32, NIFM: 32,
+			NOFM: 64, KX: 1, Stride: 1, Groups: 2, Copies: 8, ActiveCopies: 2},
+		{Kind: Conv1d, Name: "g1dmoe.groups4", IFMX: 32, OFMX: 32, NIFM: 32,
+			NOFM: 64, KX: 1, Stride: 1, Groups: 4, Copies: 4, ActiveCopies: 2},
 		{Kind: GELU, Name: "act1", IFMX: 32, NIFM: 64, OFMX: 32, NOFM: 64},
 		{Kind: Linear, Name: "head", IFMX: 1, NIFM: 64, NOFM: 10},
 	}
