@@ -157,7 +157,7 @@ func BenchmarkDSESweep81Points(b *testing.B) {
 	cons := dse.DefaultConstraints()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dse.Custom(m, space, cons); err != nil {
+		if _, err := dse.Explore([]*workload.Model{m}, space, cons, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -402,7 +402,7 @@ func BenchmarkAblationSlack(b *testing.B) {
 			cons.LatencySlack = slack
 			var area float64
 			for i := 0; i < b.N; i++ {
-				r, err := dse.Custom(m, space, cons)
+				r, err := dse.Explore([]*workload.Model{m}, space, cons, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -23,11 +23,9 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/core"
-	"repro/internal/dse"
 	"repro/internal/hw"
 	"repro/internal/memory"
 	"repro/internal/report"
-	"repro/internal/search"
 	"repro/internal/workload"
 )
 
@@ -71,31 +69,24 @@ func main() {
 		return
 	}
 
-	o := core.DefaultOptions()
-	o.Workers = *workers
-	o.Catalogue = cat
-	o.Fidelity, err = dse.ParseFidelityMode(*fidelityFlag)
+	// The training phase is one exploration query over the training set; the
+	// query's rules are the ones clairedse and claired apply too.
+	q := core.Query{Space: *spaceFlag, Search: *searchFlag, Budget: *budget, Seed: *seed, Fidelity: *fidelityFlag}
+	for _, m := range workload.TrainingSet() {
+		q.Models = append(q.Models, m.Name)
+	}
+	models, o, err := q.Resolve(cat)
+	if err == nil {
+		o.Workers = *workers
+		err = o.Validate()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "claire:", err)
 		os.Exit(2)
 	}
-	spec, err := hw.ParseSpaceWith(*spaceFlag, cat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "claire:", err)
-		os.Exit(2)
-	}
-	o.Space = spec
-	if *searchFlag != "" {
-		sspec, err := search.ParseSpec(*searchFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "claire:", err)
-			os.Exit(2)
-		}
-		o.Search = &core.SearchOptions{Spec: sspec, Budget: *budget, Seed: *seed}
-	}
-	o.CPUProfile, o.MemProfile = *cpuProfile, *memProfile
-	o.MutexProfile, o.BlockProfile = *mutexProfile, *blockProfile
-	stopProfiling, err := o.StartProfiling()
+	stopProfiling, err := core.StartProfiles(core.ProfileConfig{
+		CPU: *cpuProfile, Mem: *memProfile, Mutex: *mutexProfile, Block: *blockProfile,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "claire:", err)
 		os.Exit(1)
@@ -120,7 +111,7 @@ func main() {
 		o.Similarity.Tau = *tau
 	}
 
-	tr, err := core.Train(workload.TrainingSet(), o)
+	tr, err := core.Train(models, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "training phase:", err)
 		os.Exit(1)

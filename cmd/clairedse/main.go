@@ -18,15 +18,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"text/tabwriter"
 
 	"repro/internal/core"
 	"repro/internal/dse"
-	"repro/internal/eval"
 	"repro/internal/hw"
-	"repro/internal/search"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -46,6 +42,25 @@ func main() {
 	fidelityFlag := flag.String("fidelity", "analytical", "evaluation pipeline: analytical (single-stage) or staged (frontier re-scored with NoC/placement/thermal models)")
 	flag.Parse()
 
+	cat, err := hw.LoadCatalogue(*catalogueFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "clairedse:", err)
+		os.Exit(2)
+	}
+	q := core.Query{Models: []string{*model}, Space: *spaceFlag, Search: *searchFlag,
+		Budget: *budget, Seed: *seed, Fidelity: *fidelityFlag}
+	models, o, err := q.Resolve(cat)
+	if err == nil {
+		o.Workers = *workers
+		err = o.Validate()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "clairedse:", err)
+		os.Exit(2)
+	}
+	o.Evaluator = o.Engine()
+	ev, m := o.Evaluator, models[0]
+
 	stopProfiling, err := core.StartProfiles(core.ProfileConfig{
 		CPU: *cpuProfile, Mem: *memProfile, Mutex: *mutexProfile, Block: *blockProfile,
 	})
@@ -59,109 +74,69 @@ func main() {
 		}
 	}()
 
-	m, err := workload.ByName(*model)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clairedse: %v\nknown algorithms: %s\n",
-			err, strings.Join(workload.Names(), ", "))
-		os.Exit(1)
-	}
-	cons := dse.DefaultConstraints()
-	cat, err := hw.LoadCatalogue(*catalogueFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "clairedse:", err)
-		os.Exit(2)
-	}
-	spec, err := hw.ParseSpaceWith(*spaceFlag, cat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "clairedse:", err)
-		os.Exit(2)
-	}
-	ev := eval.New(eval.Options{Workers: *workers})
-
-	// Staged fidelity re-scores the selection frontier with the physical
-	// models, parameterized exactly as the full pipeline's defaults.
-	mode, err := dse.ParseFidelityMode(*fidelityFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "clairedse:", err)
-		os.Exit(2)
-	}
-	var fo *dse.FidelityOptions
-	if mode == dse.FidelityStaged {
-		fopts := core.DefaultOptions()
-		fopts.Catalogue = cat
-		fo = &dse.FidelityOptions{Mode: mode, Params: fopts.FidelityParams()}
-	}
-
-	// Budgeted search: no per-point table (the whole point is not visiting
-	// every row); print the winner and the trace instead.
-	if *searchFlag != "" {
-		spec2, err := search.ParseSpec(*searchFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "clairedse:", err)
-			os.Exit(2)
-		}
-		opt, err := search.New(spec2, search.Options{Seed: *seed, Evaluator: ev, Fidelity: fo})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "clairedse:", err)
-			os.Exit(2)
-		}
-		res, tr, err := opt.Run(context.Background(), []*workload.Model{m}, spec, cons, *budget)
+	// The exhaustive run prints a per-point table, which inherently
+	// materializes every row, so it sweeps SweepSpace's explicit point list
+	// first; the selection then re-reads those evaluations from the engine's
+	// cache. A budgeted search prints no table (the whole point is not
+	// visiting every row), only the winner and the trace.
+	var pts []dse.SpacePoint
+	if o.Search == nil {
+		pts, err = dse.SweepSpace(m, o.Space, o.Constraints, ev)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "clairedse:", err)
 			os.Exit(1)
 		}
+	}
+	res, tr, err := core.Explore(context.Background(), models, o, nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "clairedse:", err)
+		os.Exit(1)
+	}
+
+	if tr != nil {
 		fmt.Printf("%s: %s search selected %v (%.1f mm2) on %s\n",
 			m.Name, tr.Strategy, res.Config.Point, res.Config.AreaMM2(), res.SpaceDesc)
-		total := spec.Len()
 		fmt.Printf("budget: %d evaluations (%d unique points, %.1f%% of the space), winner found after %d; %d cache hits\n",
-			tr.Evaluations, tr.UniquePoints, 100*float64(tr.UniquePoints)/float64(total), tr.EvalsToWin, tr.CacheHits)
+			tr.Evaluations, tr.UniquePoints, 100*float64(tr.UniquePoints)/float64(o.Space.Len()), tr.EvalsToWin, tr.CacheHits)
 		if tr.Fallback {
 			fmt.Printf("budget covered the whole space: fell back to the exhaustive streaming sweep (%d points skipped by the early-exit certificate)\n",
 				tr.SkippedPoints)
 		}
-		if fo.Staged() {
-			fmt.Printf("staged fidelity: %d frontier candidates refined with the physical models, %d rejected on junction temperature\n",
-				tr.RefinedPoints, tr.ThermalRejected)
-			printRefined(res)
+	} else {
+		printTable(pts, res, *onlyFeasible, *onlyPareto)
+	}
+	// Staged runs also print the winner's stage-1 refined scores: what
+	// selection actually compared, next to the analytical numbers.
+	if r := res.Refined; r != nil {
+		fmt.Printf("staged fidelity: %d frontier candidates refined with the physical models, %d rejected on junction temperature\n",
+			r.Refined, r.ThermalRejected)
+		for i, lat := range r.WinnerLatencyS { // one per model, in input order
+			e := res.Evals[i]
+			fmt.Printf("winner refined latency (%s): %.3f ms analytical -> %.3f ms with NoC/NoP transfer; peak Tj %.1f C\n",
+				e.Model.Name, e.LatencyS*1e3, lat*1e3, r.WinnerPeakTempC)
 		}
+	}
+	if tr != nil {
 		for _, imp := range tr.Improvements {
 			fmt.Printf("  improvement at eval %d: %.1f mm2 %s\n", imp.Evals, imp.AreaMM2, imp.Point)
 		}
-		s := ev.Stats()
-		fmt.Printf("eval engine: %d workers, %d entries, %d hits / %d misses (%.0f%% hit rate)\n",
-			ev.Workers(), s.Entries, s.Hits, s.Misses, 100*s.HitRate())
-		return
 	}
+	s := ev.Stats()
+	fmt.Printf("eval engine: %d workers, %d entries, %d hits / %d misses (%.0f%% hit rate)\n",
+		ev.Workers(), s.Entries, s.Hits, s.Misses, 100*s.HitRate())
+}
 
-	// The per-point table below inherently materializes every row, so the
-	// sweep uses SweepSpace's explicit point list; the selection streams.
-	pts, err := dse.SweepSpace(m, spec, cons, ev)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "clairedse:", err)
-		os.Exit(1)
-	}
-	// The selection pass re-reads the sweep's evaluations straight from the
-	// engine's cache; under staged fidelity it additionally refines the
-	// surviving frontier with the physical models.
-	var stats dse.ExploreStats
-	var selOpts *dse.ExploreOptions
-	if fo.Staged() {
-		selOpts = &dse.ExploreOptions{Fidelity: fo, Stats: &stats}
-	}
-	sel, err := dse.ExploreSpace([]*workload.Model{m}, spec, cons, ev, selOpts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "clairedse:", err)
-		os.Exit(1)
-	}
-
+// printTable prints the exhaustive sweep's per-point table, marking the
+// selected configuration, and its one-line summary.
+func printTable(pts []dse.SpacePoint, sel dse.Result, onlyFeasible, onlyPareto bool) {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "Configuration\tArea(mm2)\tLatency(ms)\tEnergy(mJ)\tPD(W/mm2)\tFeasible\tPareto\tSelected\n")
 	printed := 0
 	for _, p := range pts {
-		if *onlyFeasible && !p.Feasible {
+		if onlyFeasible && !p.Feasible {
 			continue
 		}
-		if *onlyPareto && !p.Pareto {
+		if onlyPareto && !p.Pareto {
 			continue
 		}
 		mark := ""
@@ -175,27 +150,6 @@ func main() {
 	}
 	w.Flush()
 	fmt.Printf("\n%s: %d/%d points printed (%s), %d feasible, %d on the Pareto front; selected %v (%.1f mm2)\n",
-		m.Name, printed, len(pts), sel.SpaceDesc, sel.Feasible, len(dse.ParetoFront(pts)),
+		sel.Evals[0].Model.Name, printed, len(pts), sel.SpaceDesc, sel.Feasible, len(dse.ParetoFront(pts)),
 		sel.Config.Point, sel.Config.AreaMM2())
-	if fo.Staged() {
-		fmt.Printf("staged fidelity: %d frontier candidates refined with the physical models, %d rejected on junction temperature\n",
-			stats.RefinedPoints, stats.ThermalRejected)
-		printRefined(sel)
-	}
-	s := ev.Stats()
-	fmt.Printf("eval engine: %d workers, %d entries, %d hits / %d misses (%.0f%% hit rate)\n",
-		ev.Workers(), s.Entries, s.Hits, s.Misses, 100*s.HitRate())
-}
-
-// printRefined prints the winner's stage-1 refined scores — what staged
-// selection actually compared, next to the analytical table above it.
-func printRefined(res dse.Result) {
-	r := res.Refined
-	if r == nil || len(r.WinnerLatencyS) != len(res.Evals) {
-		return
-	}
-	for i, e := range res.Evals {
-		fmt.Printf("winner refined latency (%s): %.3f ms analytical -> %.3f ms with NoC/NoP transfer; peak Tj %.1f C\n",
-			e.Model.Name, e.LatencyS*1e3, r.WinnerLatencyS[i]*1e3, r.WinnerPeakTempC)
-	}
 }

@@ -1,10 +1,12 @@
 package core
 
-// The framework's one funnel for design-space optimization: every phase —
+// The framework's one dispatcher for design-space optimization: every phase —
 // per-model custom DSE, the generic configuration, per-subset library
-// configurations, test-phase assignment and library extension — explores
-// through this file, so Options.Search switches the whole pipeline between
-// the exhaustive streaming sweep and the budgeted metaheuristic layer.
+// configurations, test-phase assignment and library extension — and every
+// front end (claire, clairedse, claired) explores through Explore, so
+// Options.Search and Options.Fidelity switch the whole system between the
+// exhaustive streaming sweep, the budgeted metaheuristic layer and staged
+// multi-fidelity selection in exactly one place.
 
 import (
 	"context"
@@ -30,32 +32,32 @@ type SearchOptions struct {
 	Seed int64
 }
 
-// explore runs one multi-model design-space optimization under the options'
-// search policy.
-func explore(models []*workload.Model, o Options, cons dse.Constraints) (dse.Result, error) {
-	fo := o.fidelityOptions()
-	ctx := o.Ctx
+// Explore runs one multi-model design-space optimization over o.Space under
+// o.Constraints: the exhaustive streaming sweep when o.Search is nil, the
+// budgeted search otherwise, either one followed by staged refinement when
+// o.Fidelity is staged. ctx bounds the run (nil: context.Background()).
+// progress, when non-nil, receives the exhaustive sweep's scan progress (see
+// dse.ExploreOptions.Progress). The returned trace is non-nil exactly when
+// the search layer ran.
+func Explore(ctx context.Context, models []*workload.Model, o Options, progress func(done, total int)) (dse.Result, *search.Trace, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// Analytical mode passes no fidelity options: the sweep's zero-overhead
+	// single-stage path.
+	var fo *dse.FidelityOptions
+	if o.Fidelity == dse.FidelityStaged {
+		fo = &dse.FidelityOptions{Mode: dse.FidelityStaged, Params: o.FidelityParams()}
+	}
 	if o.Search == nil {
-		// Analytical mode passes nil options so the sweep takes the exact
-		// historical path (the byte-identity contract the fidelity tests pin).
-		var opts *dse.ExploreOptions
-		if fo != nil {
-			opts = &dse.ExploreOptions{Fidelity: fo}
-		}
-		return dse.ExploreSpaceCtx(ctx, models, o.Space, cons, o.Evaluator, opts)
+		res, err := dse.ExploreSpaceCtx(ctx, models, o.Space, o.Constraints, o.Evaluator,
+			&dse.ExploreOptions{Fidelity: fo, Progress: progress})
+		return res, nil, err
 	}
 	opt, err := search.New(o.Search.Spec, search.Options{Seed: o.Search.Seed, Evaluator: o.Engine(), Fidelity: fo})
 	if err != nil {
-		return dse.Result{}, err
+		return dse.Result{}, nil, err
 	}
-	res, _, err := opt.Run(ctx, models, o.Space, cons, o.Search.Budget)
-	return res, err
-}
-
-// exploreOne is explore for a single model — the custom-configuration DSE.
-func exploreOne(m *workload.Model, o Options, cons dse.Constraints) (dse.Result, error) {
-	return explore([]*workload.Model{m}, o, cons)
+	res, tr, err := opt.Run(ctx, models, o.Space, o.Constraints, o.Search.Budget)
+	return res, &tr, err
 }

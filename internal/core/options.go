@@ -76,15 +76,6 @@ type Options struct {
 	// 1 forces the legacy serial path. Results are identical at any setting
 	// (the engine's determinism contract).
 	Workers int
-	// CPUProfile, MemProfile, MutexProfile and BlockProfile are file paths;
-	// when non-empty, the CLI entry points write pprof profiles there so
-	// sweep hot spots — and, for the latter two, lock contention and
-	// blocking in the parallel reduction — can be profiled directly (see
-	// StartProfiles).
-	CPUProfile   string
-	MemProfile   string
-	MutexProfile string
-	BlockProfile string
 	// Evaluator is the shared parallel memoizing evaluation engine. Leave
 	// nil to let each top-level entry point build one from Workers; inject
 	// one (see Engine) to share the memoization cache across phases.
@@ -107,16 +98,6 @@ type Options struct {
 	// Cancellation never alters results — a run either completes
 	// byte-identical to an unbounded one or returns ctx.Err().
 	Ctx context.Context
-}
-
-// fidelityOptions projects the options onto the exploration layer's fidelity
-// selection: nil under the analytical default (the sweep's zero-overhead
-// path), the staged pipeline parameterized by FidelityParams otherwise.
-func (o Options) fidelityOptions() *dse.FidelityOptions {
-	if o.Fidelity != dse.FidelityStaged {
-		return nil
-	}
-	return &dse.FidelityOptions{Mode: dse.FidelityStaged, Params: o.FidelityParams()}
 }
 
 // Engine returns the options' evaluation engine, building a fresh one from

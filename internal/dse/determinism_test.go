@@ -65,11 +65,11 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	m := workload.NewAlexNet()
 	space := hw.Space()
 	cons := DefaultConstraints()
-	serial, err := SweepOn(m, space, cons, eval.New(eval.Options{Workers: 1}))
+	serial, err := SweepSpace(m, hw.PointList(space), cons, eval.New(eval.Options{Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := SweepOn(m, space, cons, eval.New(eval.Options{Workers: 8}))
+	parallel, err := SweepSpace(m, hw.PointList(space), cons, eval.New(eval.Options{Workers: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestCustomSelectsFeasibleMinimalArea(t *testing.T) {
 	space := hw.Space()
 	cons := DefaultConstraints()
 	for _, m := range []*workload.Model{workload.NewResNet18(), workload.NewBERTBase()} {
-		r, err := Custom(m, space, cons)
+		r, err := Explore([]*workload.Model{m}, space, cons, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -85,12 +85,12 @@ func TestCustomIsMinimal(t *testing.T) {
 	m := workload.NewResNet50()
 	space := hw.Space()
 	cons := DefaultConstraints()
-	r, err := Custom(m, space, cons)
+	r, err := Explore([]*workload.Model{m}, space, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Recompute feasibility by brute force using the public API pieces.
-	again, err := Custom(m, space, cons)
+	again, err := Explore([]*workload.Model{m}, space, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestTableIICalibration(t *testing.T) {
 		workload.NewMixtral8x7B(), workload.NewGPT2(), workload.NewLlama3_8B(),
 		workload.NewDPTLarge(), workload.NewDINOv2Large(), workload.NewWhisperV3Large(),
 	} {
-		r, err := Custom(m, space, cons)
+		r, err := Explore([]*workload.Model{m}, space, cons, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -135,7 +135,7 @@ func TestTableIICalibration(t *testing.T) {
 
 func TestForModelsUnionKinds(t *testing.T) {
 	models := []*workload.Model{workload.NewAlexNet(), workload.NewViTBase()}
-	r, err := ForModels(models, hw.Space(), DefaultConstraints())
+	r, err := Explore(models, hw.Space(), DefaultConstraints(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +160,12 @@ func TestGenericAtLeastCustomArea(t *testing.T) {
 	}
 	space := hw.Space()
 	cons := DefaultConstraints()
-	joint, err := ForModels(models, space, cons)
+	joint, err := Explore(models, space, cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range models {
-		cust, err := Custom(m, space, cons)
+		cust, err := Explore([]*workload.Model{m}, space, cons, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestGenericAtLeastCustomArea(t *testing.T) {
 		// custom at once.
 		_ = cust
 	}
-	vgg, _ := Custom(workload.NewVGG16(), space, cons)
+	vgg, _ := Explore([]*workload.Model{workload.NewVGG16()}, space, cons, nil)
 	if joint.Config.AreaMM2() < vgg.Config.AreaMM2()*0.8 {
 		t.Errorf("joint config area %.1f implausibly below VGG custom %.1f",
 			joint.Config.AreaMM2(), vgg.Config.AreaMM2())
@@ -183,21 +183,21 @@ func TestGenericAtLeastCustomArea(t *testing.T) {
 }
 
 func TestErrorPaths(t *testing.T) {
-	if _, err := ForModels(nil, hw.Space(), DefaultConstraints()); err == nil {
+	if _, err := Explore(nil, hw.Space(), DefaultConstraints(), nil); err == nil {
 		t.Error("no models should fail")
 	}
-	if _, err := ForModels([]*workload.Model{workload.NewGPT2()}, nil, DefaultConstraints()); err == nil {
+	if _, err := Explore([]*workload.Model{workload.NewGPT2()}, nil, DefaultConstraints(), nil); err == nil {
 		t.Error("empty space should fail")
 	}
 	bad := DefaultConstraints()
 	bad.MaxChipAreaMM2 = -1
-	if _, err := ForModels([]*workload.Model{workload.NewGPT2()}, hw.Space(), bad); err == nil {
+	if _, err := Explore([]*workload.Model{workload.NewGPT2()}, hw.Space(), bad, nil); err == nil {
 		t.Error("invalid constraints should fail")
 	}
 	// Impossibly tight area limit: nothing feasible.
 	tight := DefaultConstraints()
 	tight.MaxChipAreaMM2 = 0.001
-	if _, err := Custom(workload.NewGPT2(), hw.Space(), tight); err == nil {
+	if _, err := Explore([]*workload.Model{workload.NewGPT2()}, hw.Space(), tight, nil); err == nil {
 		t.Error("unsatisfiable constraints should fail")
 	}
 }
@@ -211,7 +211,7 @@ func TestTighterSlackNeverShrinksArea(t *testing.T) {
 	for _, slack := range []float64{2.0, 1.0, 0.5, 0.25} {
 		cons := DefaultConstraints()
 		cons.LatencySlack = slack
-		r, err := Custom(m, space, cons)
+		r, err := Explore([]*workload.Model{m}, space, cons, nil)
 		if err != nil {
 			t.Fatalf("slack %v: %v", slack, err)
 		}

@@ -145,8 +145,8 @@ func TestMixFineStreamBoundedMemory(t *testing.T) {
 }
 
 // TestSweepSpaceMatchesSweepOn pins the lazily indexed table sweep against
-// the legacy point-list sweep on a default-catalogue mix space, where the
-// nil-catalogue path must evaluate identically.
+// the same sweep over the materialized point list on a default-catalogue mix
+// space, where the nil-catalogue path must evaluate identically.
 func TestSweepSpaceMatchesSweepOn(t *testing.T) {
 	sp := smallMixSpace(t, nil)
 	pts := make([]hw.Point, sp.Len())
@@ -155,7 +155,7 @@ func TestSweepSpaceMatchesSweepOn(t *testing.T) {
 	}
 	m := workload.NewAlexNet()
 	cons := DefaultConstraints()
-	want, err := SweepOn(m, pts, cons, eval.New(eval.Options{Workers: 1}))
+	want, err := SweepSpace(m, hw.PointList(pts), cons, eval.New(eval.Options{Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSweepSpaceMatchesSweepOn(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("SweepSpace returned %d points, SweepOn %d", len(got), len(want))
+		t.Fatalf("mix-space sweep returned %d points, point-list sweep %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i].Point != want[i].Point || got[i].Feasible != want[i].Feasible ||

@@ -5,9 +5,9 @@
 //
 // The package is split along its concerns:
 //
-//   - api.go: the wire types, request validation/normalization, the
-//     coalescing key, and the result encodings pinned byte-identical to the
-//     equivalent CLI invocation.
+//   - api.go: the wire types, their mapping onto core.Query (which
+//     validates requests and derives the coalescing key), and the result
+//     encodings pinned byte-identical to the equivalent CLI invocation.
 //   - job.go: the job manager — bounded queue, worker pool, admission
 //     control, request coalescing, refcounted waiter attachment and
 //     context-based cancellation.
@@ -19,13 +19,11 @@ package serve
 
 import (
 	"fmt"
-	"strings"
 
+	"repro/internal/core"
 	"repro/internal/dse"
-	"repro/internal/eval"
 	"repro/internal/hw"
 	"repro/internal/search"
-	"repro/internal/workload"
 )
 
 // Job kinds.
@@ -36,46 +34,30 @@ const (
 )
 
 // ConstraintsSpec overrides Input #4 limits per request; nil fields keep the
-// reproduction defaults.
+// reproduction defaults. It is the wire form of core.ConstraintOverrides and
+// must keep the same fields in the same order (the two convert directly).
 type ConstraintsSpec struct {
 	MaxChipAreaMM2         *float64 `json:"max_chip_area_mm2,omitempty"`
 	MaxPowerDensityWPerMM2 *float64 `json:"max_power_density_w_mm2,omitempty"`
 	LatencySlack           *float64 `json:"latency_slack,omitempty"`
 }
 
-// resolve applies the overrides to the defaults.
-func (c *ConstraintsSpec) resolve() dse.Constraints {
-	cons := dse.DefaultConstraints()
-	if c == nil {
-		return cons
-	}
-	if c.MaxChipAreaMM2 != nil {
-		cons.MaxChipAreaMM2 = *c.MaxChipAreaMM2
-	}
-	if c.MaxPowerDensityWPerMM2 != nil {
-		cons.MaxPowerDensityWPerMM2 = *c.MaxPowerDensityWPerMM2
-	}
-	if c.LatencySlack != nil {
-		cons.LatencySlack = *c.LatencySlack
-	}
-	return cons
-}
-
 // ExploreRequest asks for one multi-model design-space optimization — the
 // served equivalent of `claire`/`clairedse` exploration: exhaustive streaming
 // sweep by default, budgeted metaheuristic search when Search is set, staged
-// multi-fidelity selection when Fidelity is "staged".
+// multi-fidelity selection when Fidelity is "staged". Every field but Sync is
+// the same-named core.Query field, and resolves by its rules against the
+// server's catalogue.
 type ExploreRequest struct {
 	// Models names the workloads (workload.ByName); at least one.
 	Models []string `json:"models"`
 	// Space selects the design space: paper (default), fine, mix, mixfine,
-	// or AxBxCxD axis cardinalities (hw.ParseSpaceWith, against the server's
-	// catalogue).
+	// or AxBxCxD axis cardinalities.
 	Space string `json:"space,omitempty"`
 	// Constraints overrides Input #4 limits.
 	Constraints *ConstraintsSpec `json:"constraints,omitempty"`
 	// Search selects a budgeted strategy ("anneal", "genetic", with optional
-	// :key=val params — search.ParseSpec). Empty: exhaustive sweep.
+	// :key=val params). Empty: exhaustive sweep.
 	Search string `json:"search,omitempty"`
 	// Budget is the search evaluation budget (0: the layer's 5% default).
 	Budget int `json:"budget,omitempty"`
@@ -231,66 +213,37 @@ type SelfcheckResult struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
-// validateExplore normalizes and validates a request, resolving model names
-// and the space spec against the server's catalogue. Returned errors are
-// client errors (HTTP 400).
-func validateExplore(req *ExploreRequest, cat *hw.Catalogue) ([]*workload.Model, hw.DesignSpace, dse.Constraints, error) {
-	if len(req.Models) == 0 {
-		return nil, nil, dse.Constraints{}, fmt.Errorf("serve: explore request names no models (known: %s)", strings.Join(workload.Names(), ", "))
+// query maps the request onto the one exploration query every front end
+// shares (core.Query); Sync is delivery, not part of the computation.
+func (req *ExploreRequest) query() core.Query {
+	q := core.Query{
+		Models: req.Models, Space: req.Space, Search: req.Search,
+		Budget: req.Budget, Seed: req.Seed, Fidelity: req.Fidelity,
 	}
-	models := make([]*workload.Model, len(req.Models))
-	for i, name := range req.Models {
-		m, err := workload.ByName(name)
-		if err != nil {
-			return nil, nil, dse.Constraints{}, fmt.Errorf("serve: %w (known: %s)", err, strings.Join(workload.Names(), ", "))
-		}
-		models[i] = m
+	if req.Constraints != nil {
+		q.Constraints = core.ConstraintOverrides(*req.Constraints)
 	}
-	if req.Space == "" {
-		req.Space = "paper"
-	}
-	space, err := hw.ParseSpaceWith(req.Space, cat)
-	if err != nil {
-		return nil, nil, dse.Constraints{}, fmt.Errorf("serve: %w", err)
-	}
-	cons := req.Constraints.resolve()
-	if err := cons.Validate(); err != nil {
-		return nil, nil, dse.Constraints{}, fmt.Errorf("serve: %w", err)
-	}
-	if req.Search != "" {
-		if _, err := search.ParseSpec(req.Search); err != nil {
-			return nil, nil, dse.Constraints{}, fmt.Errorf("serve: %w", err)
-		}
-	}
-	if req.Budget < 0 {
-		return nil, nil, dse.Constraints{}, fmt.Errorf("serve: negative search budget %d", req.Budget)
-	}
-	if _, err := dse.ParseFidelityMode(req.Fidelity); err != nil {
-		return nil, nil, dse.Constraints{}, fmt.Errorf("serve: %w", err)
-	}
-	return models, space, cons, nil
+	return q
 }
 
-// validateSweep normalizes and validates a sweep request.
-func validateSweep(req *SweepRequest, cat *hw.Catalogue) error {
-	switch req.Kind {
-	case "tau":
-		if len(req.Models) == 0 {
-			return fmt.Errorf("serve: tau sweep names no models")
+// query maps a sweep onto the exploration query each of its samples runs:
+// the tau sweep's training models or the slack sweep's single model, on the
+// requested space and fidelity with default constraints.
+func (req *SweepRequest) query() core.Query {
+	names := req.Models
+	if req.Kind == "slack" {
+		names = nil
+		if req.Model != "" {
+			names = []string{req.Model}
 		}
-		for _, name := range req.Models {
-			if _, err := workload.ByName(name); err != nil {
-				return fmt.Errorf("serve: %w", err)
-			}
-		}
-	case "slack":
-		if req.Model == "" {
-			return fmt.Errorf("serve: slack sweep names no model")
-		}
-		if _, err := workload.ByName(req.Model); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-	default:
+	}
+	return core.Query{Models: names, Space: req.Space, Fidelity: req.Fidelity}
+}
+
+// validateSweep checks the sweep-specific fields; the shared ones are
+// checked by resolving the sweep's query.
+func validateSweep(req *SweepRequest) error {
+	if req.Kind != "tau" && req.Kind != "slack" {
 		return fmt.Errorf("serve: unknown sweep kind %q (want tau or slack)", req.Kind)
 	}
 	if len(req.Values) == 0 {
@@ -301,73 +254,7 @@ func validateSweep(req *SweepRequest, cat *hw.Catalogue) error {
 			return fmt.Errorf("serve: negative sweep value %g", v)
 		}
 	}
-	if req.Space == "" {
-		req.Space = "paper"
-	}
-	if _, err := hw.ParseSpaceWith(req.Space, cat); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if _, err := dse.ParseFidelityMode(req.Fidelity); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
 	return nil
-}
-
-// coalesceKey builds the canonical identity of a job: two requests with equal
-// keys are the same computation and share one execution (DESIGN.md §11). The
-// key folds in the model fingerprints (not names — renames alias, content
-// matters), the normalized space string, the catalogue fingerprint, the
-// resolved constraints, and every option that alters the result. Sync does
-// not participate: a fire-and-forget job and a waiting one coalesce.
-func coalesceKey(kind string, modelNames []string, space string, cat *hw.Catalogue,
-	cons dse.Constraints, extra ...string) string {
-	fps := make([]string, 0, len(modelNames))
-	for _, name := range modelNames {
-		if m, err := workload.ByName(name); err == nil {
-			fps = append(fps, eval.Fingerprint(m))
-		} else {
-			fps = append(fps, "?"+name)
-		}
-	}
-	// Model-set order matters to the result (Evals are in input order), so
-	// the key preserves it; only exact duplicates of the whole request fold.
-	var sb strings.Builder
-	sb.WriteString(kind)
-	sb.WriteByte('|')
-	sb.WriteString(strings.Join(fps, ","))
-	fmt.Fprintf(&sb, "|space=%s|cat=%s|cons=%.9g/%.9g/%.9g",
-		space, cat.Fingerprint(),
-		cons.MaxChipAreaMM2, cons.MaxPowerDensityWPerMM2, cons.LatencySlack)
-	for _, e := range extra {
-		sb.WriteByte('|')
-		sb.WriteString(e)
-	}
-	return sb.String()
-}
-
-// exploreKey is the coalescing key of an explore request.
-func exploreKey(req *ExploreRequest, cat *hw.Catalogue) string {
-	return coalesceKey(KindExplore, req.Models, req.Space, cat, req.Constraints.resolve(),
-		fmt.Sprintf("search=%s", req.Search),
-		fmt.Sprintf("budget=%d", req.Budget),
-		fmt.Sprintf("seed=%d", req.Seed),
-		fmt.Sprintf("fidelity=%s", req.Fidelity))
-}
-
-// sweepKey is the coalescing key of a sweep request.
-func sweepKey(req *SweepRequest, cat *hw.Catalogue) string {
-	names := req.Models
-	if req.Kind == "slack" {
-		names = []string{req.Model}
-	}
-	vals := make([]string, len(req.Values))
-	for i, v := range req.Values {
-		vals[i] = fmt.Sprintf("%.9g", v)
-	}
-	return coalesceKey(KindSweep, names, req.Space, cat, dse.DefaultConstraints(),
-		fmt.Sprintf("kind=%s", req.Kind),
-		fmt.Sprintf("values=%s", strings.Join(vals, ",")),
-		fmt.Sprintf("fidelity=%s", req.Fidelity))
 }
 
 // selfcheckKey is the coalescing key of a selfcheck request.

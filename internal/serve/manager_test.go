@@ -115,8 +115,9 @@ func TestCoalesceOneExecution(t *testing.T) {
 }
 
 // TestCoalesceOverHTTP drives the same contract end to end: with the single
-// worker pinned by a blocker, N identical sync explores all ride one queued
-// job and receive byte-identical responses, with exactly one admission.
+// worker pinned by a blocker, N sync explores spelling one query in several
+// equivalent ways all ride one queued job and receive byte-identical
+// responses, with exactly one admission.
 func TestCoalesceOverHTTP(t *testing.T) {
 	s, hs := startServer(t, ManagerConfig{Workers: 1, MaxQueue: 32})
 	m := s.Manager()
@@ -129,8 +130,16 @@ func TestCoalesceOverHTTP(t *testing.T) {
 	}
 	<-entered // the only worker is parked; everything below stays queued
 
+	// Equivalent spellings of one query are one computation: the key is
+	// derived from the resolved query, not from the request text.
+	name := workload.Names()[0]
+	spellings := []ExploreRequest{
+		{Models: []string{name}},
+		{Models: []string{name}, Space: "Paper"},
+		{Models: []string{name}, Space: " paper ", Fidelity: "analytical"},
+		{Models: []string{name}, Seed: 7, Budget: 500},
+	}
 	const n = 10
-	req := ExploreRequest{Models: workload.Names()[:1], Sync: true}
 	results := make([][]byte, n)
 	errs := make(chan error, n)
 	var wg sync.WaitGroup
@@ -138,6 +147,8 @@ func TestCoalesceOverHTTP(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			req := spellings[i%len(spellings)]
+			req.Sync = true
 			code, body := postJSONQuiet(hs.URL+"/v1/explore", req)
 			if code != http.StatusOK {
 				errs <- fmt.Errorf("request %d: code %d body %s", i, code, body)

@@ -14,6 +14,10 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/dse"
+	"repro/internal/hw"
+	"repro/internal/workload"
 )
 
 // startServer boots a Server over httptest and tears both down with the
@@ -27,6 +31,13 @@ func startServer(t *testing.T, cfg ManagerConfig) (*Server, *httptest.Server) {
 		s.Close()
 	})
 	return s, hs
+}
+
+// validateExplore resolves a wire request the way SubmitExplore does and
+// returns what the direct library calls in identity_test.go need.
+func validateExplore(req *ExploreRequest, cat *hw.Catalogue) ([]*workload.Model, hw.DesignSpace, dse.Constraints, error) {
+	models, o, err := req.query().Resolve(cat)
+	return models, o.Space, o.Constraints, err
 }
 
 // postJSON posts a body and returns the status code and response bytes.
