@@ -1,11 +1,11 @@
 // Package eval provides CLAIRE's shared evaluation engine: a worker-pool
 // executor that fans (model × configuration) evaluations out over up to
 // GOMAXPROCS goroutines, backed by a two-level concurrency-safe cache. The
-// lower level memoizes one ppa.ModelPlan per model (the precomputed
-// layer-granular cost plans); the upper level memoizes results per (model
-// fingerprint, configuration, batch), with the scalar Summary and the full
-// per-layer Eval materialized independently, so a sweep that only filters on
-// totals never builds a []LayerEval. Every sweep in the framework — the
+// lower level memoizes one fingerprint and ppa.ModelPlan per model (the
+// precomputed layer-granular cost plans); the upper level memoizes results
+// per (model fingerprint, configuration, batch), with the scalar Summary and
+// the full per-layer Eval materialized independently, so a sweep that only
+// filters on totals never builds a []LayerEval. Every sweep in the framework — the
 // 81-point DSE, tau sweeps, slack sweeps, assignment-stability checks and
 // library evolution — funnels its evaluations through one Evaluator, so
 // repeated sweeps over the same (model, configuration) pairs hit cache
@@ -97,7 +97,7 @@ type cacheKey struct {
 // attaching the default catalogue shares cache with the zero-config path.
 func (ev *Evaluator) keyFor(m *workload.Model, c hw.Config, batch int) cacheKey {
 	k := cacheKey{
-		fp: ev.fingerprint(m), cat: c.Catalogue().Fingerprint(),
+		fp: ev.memo(m).fp, cat: c.Catalogue().Fingerprint(),
 		point: c.Point, prec: c.Precision, batch: batch,
 		flatten: c.Flatten, permute: c.Permute,
 	}
@@ -125,6 +125,27 @@ func ascending(us []hw.Unit) bool {
 	return true
 }
 
+// modelMemo is one model's fingerprint and precomputed cost plan, built
+// together exactly once per engine: workers that miss on the same model
+// concurrently wait on the sync.Once instead of each re-hashing the model
+// and rebuilding its plan.
+type modelMemo struct {
+	once sync.Once
+	fp   string
+	plan *ppa.ModelPlan
+}
+
+// memo returns the model's memo, building it on first use.
+func (ev *Evaluator) memo(m *workload.Model) *modelMemo {
+	v, ok := ev.models.Load(m)
+	if !ok {
+		v, _ = ev.models.LoadOrStore(m, &modelMemo{})
+	}
+	mm := v.(*modelMemo)
+	mm.once.Do(func() { mm.fp, mm.plan = Fingerprint(m), ppa.NewModelPlan(m) })
+	return mm
+}
+
 // Evaluator is the parallel, memoizing evaluation engine. The zero value is
 // not usable; construct with New. An Evaluator is safe for concurrent use.
 type Evaluator struct {
@@ -132,12 +153,10 @@ type Evaluator struct {
 
 	mu    sync.Mutex
 	cache map[cacheKey]*entry
-	// fps memoizes model fingerprints by pointer identity; models must not be
+	// models is the lower level of the two-level cache: one modelMemo per
+	// model by pointer identity, shared by every entry. Models must not be
 	// structurally mutated after their first evaluation.
-	fps sync.Map // *workload.Model -> string
-	// plans is the lower level of the two-level cache: one precomputed
-	// ppa.ModelPlan per model (by pointer identity), shared by every entry.
-	plans sync.Map // *workload.Model -> *ppa.ModelPlan
+	models sync.Map // *workload.Model -> *modelMemo
 
 	hits, misses atomic.Uint64
 }
@@ -203,13 +222,7 @@ func (ev *Evaluator) EvaluateSummary(m *workload.Model, c hw.Config, batch int) 
 // Plan returns the engine's precomputed cost plan for the model, building it
 // on first use — the lower level of the two-level cache, shared across every
 // (configuration, batch) entry of the model.
-func (ev *Evaluator) Plan(m *workload.Model) *ppa.ModelPlan {
-	if p, ok := ev.plans.Load(m); ok {
-		return p.(*ppa.ModelPlan)
-	}
-	p, _ := ev.plans.LoadOrStore(m, ppa.NewModelPlan(m))
-	return p.(*ppa.ModelPlan)
-}
+func (ev *Evaluator) Plan(m *workload.Model) *ppa.ModelPlan { return ev.memo(m).plan }
 
 // entryFor returns the cache entry for one (model, configuration, batch) key,
 // creating it on first lookup.
@@ -337,16 +350,6 @@ func (ev *Evaluator) ForEachChunkWorker(n, chunk int, fn func(worker, lo, hi int
 // Bit-identical to EvaluateSummary for the same inputs.
 func (ev *Evaluator) EvaluateSummaryUncached(m *workload.Model, c hw.Config, batch int) (ppa.Summary, error) {
 	return ev.Plan(m).Summary(c, batch)
-}
-
-// fingerprint returns the model's fingerprint, memoized by pointer identity.
-func (ev *Evaluator) fingerprint(m *workload.Model) string {
-	if fp, ok := ev.fps.Load(m); ok {
-		return fp.(string)
-	}
-	fp := Fingerprint(m)
-	ev.fps.Store(m, fp)
-	return fp
 }
 
 // Fingerprint returns a collision-resistant identity for a model's full
