@@ -241,36 +241,62 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkExploreCold is the allocation-tracked acceptance benchmark of the
-// layer-granular kernel refactor: a full cold-cache 13-model x 81-point
-// exploration per iteration at Workers=1 (so ns/op and allocs/op are
-// scheduling-noise-free). cmd/clairebench records the same measurement into
-// BENCH_PR2.json for the cross-PR perf trajectory.
-func BenchmarkExploreCold(b *testing.B) {
+// exploreCold returns a benchmark body that runs one full cold-cache
+// 13-model x 81-point exploration per iteration, on a fresh engine with the
+// given worker count (0 means GOMAXPROCS).
+func exploreCold(workers int) func(b *testing.B) {
 	models := workload.TrainingSet()
 	space := hw.Space()
 	cons := dse.DefaultConstraints()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ev := eval.New(eval.Options{Workers: 1})
-		if _, err := dse.Explore(models, space, cons, ev); err != nil {
-			b.Fatal(err)
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ev := eval.New(eval.Options{Workers: workers})
+			if _, err := dse.Explore(models, space, cons, ev); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
 
+// BenchmarkExploreCold is the allocation-tracked acceptance benchmark of the
+// layer-granular kernel refactor: the cold explore at Workers=1 (so ns/op
+// and allocs/op are scheduling-noise-free). TestExploreColdAllocs gates its
+// allocation count.
+func BenchmarkExploreCold(b *testing.B) { exploreCold(1)(b) }
+
 // BenchmarkExploreColdParallel is the cold explore with the engine's default
 // worker fan-out (GOMAXPROCS), so `go test -cpu 1,2,4` sweeps the sharded
 // reduction across core counts — the CI parallel-scaling smoke.
-func BenchmarkExploreColdParallel(b *testing.B) {
-	models := workload.TrainingSet()
-	space := hw.Space()
-	cons := dse.DefaultConstraints()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ev := eval.New(eval.Options{})
-		if _, err := dse.Explore(models, space, cons, ev); err != nil {
-			b.Fatal(err)
+func BenchmarkExploreColdParallel(b *testing.B) { exploreCold(0)(b) }
+
+// Allocation ceilings for the cold explore: 1.25 x the 3882 (Workers 1) and
+// 3883 (Workers N) allocs/op of the last committed perf-trajectory baseline,
+// recorded at GOMAXPROCS 1 by the retired standalone bench harness whose
+// 25% regression gate this test replaces.
+const (
+	exploreColdMaxAllocsSerial   = 4852
+	exploreColdMaxAllocsParallel = 4853
+)
+
+// TestExploreColdAllocs gates the cold explore's allocations per operation at
+// 1 and 4 workers. It runs under GOMAXPROCS 4 so parallel workers really
+// race on a cold engine: per-model work that is not coalesced (say, each
+// worker re-hashing a model it missed on together with another) shows up as
+// extra allocations here. testing.AllocsPerRun would pin GOMAXPROCS to 1 and
+// hide exactly that.
+func TestExploreColdAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct {
+		workers, max int
+	}{
+		{1, exploreColdMaxAllocsSerial},
+		{4, exploreColdMaxAllocsParallel},
+	} {
+		got := testing.Benchmark(exploreCold(tc.workers)).AllocsPerOp()
+		t.Logf("cold explore at %d workers: %d allocs/op (ceiling %d)", tc.workers, got, tc.max)
+		if got > int64(tc.max) {
+			t.Errorf("cold explore at %d workers: %d allocs/op, above %d", tc.workers, got, tc.max)
 		}
 	}
 }

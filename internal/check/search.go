@@ -11,7 +11,8 @@ package check
 //     evaluations equal unique points x models.
 //   - Optimality gap: on exhaustively verifiable spaces the search winner's
 //     selection area stays within the coarse selfcheck threshold of the
-//     brute-force optimum (the bench gates the tight 1% criterion).
+//     brute-force optimum (TestSearchGapAtFivePercentBudget in
+//     internal/search gates the tight 1% criterion).
 //   - Early exit: the certified sweep must return the full sweep's exact
 //     winner with a worker-count-independent skip count.
 //   - Fallback: a budget covering the whole space must route to the
@@ -30,7 +31,8 @@ import (
 )
 
 // searchGapThreshold is the coarse selfcheck bound on the optimality gap at
-// a quarter budget; the CI bench gates the paper criterion (1% at 5%).
+// a quarter budget; TestSearchGapAtFivePercentBudget in internal/search gates
+// the paper criterion (1% at 5%).
 const searchGapThreshold = 0.05
 
 // searchSpaces returns the exhaustively verifiable spaces the family runs

@@ -155,8 +155,8 @@ func TestEngineSharedAcrossPhases(t *testing.T) {
 	}
 	// The training set's per-point evaluations dominate; a retrain at a new
 	// tau must be served almost entirely from cache.
-	// 0.46 sits on the same subset plateau as the default threshold (see
-	// TestAssignmentStability), so the retrain's library unions are identical.
+	// 0.46 sits on the same subset plateau as the default threshold, so the
+	// retrain's library unions are identical.
 	missesBefore := o.Evaluator.Stats().Misses
 	oo := o
 	oo.Similarity.Tau = 0.46

@@ -90,9 +90,6 @@ type Result struct {
 	Refined *RefineStats
 }
 
-// TotalAreaMM2 returns the selected configuration's logic area.
-func (r Result) TotalAreaMM2() float64 { return r.Config.AreaMM2() }
-
 // Explore (declared in stream.go) runs the generic/library selection over an
 // explicit point list by streaming it through ExploreSpace; the eager
 // two-pass implementation it replaced survives as the test-only reference

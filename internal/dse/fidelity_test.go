@@ -137,6 +137,39 @@ func TestStagedRefinesFrontierOnly(t *testing.T) {
 	}
 }
 
+// TestStagedRefinedShare is the multi-fidelity budget on the training set:
+// on the large fine space the physical models may re-score at most 5% of the
+// points, and on the 81-point paper space — whose frontier is a double-digit
+// share of the space by floor effect alone — strictly fewer points than the
+// sweep visited.
+func TestStagedRefinedShare(t *testing.T) {
+	models := workload.TrainingSet()
+	fo := &FidelityOptions{Mode: FidelityStaged, Params: testFidelityParams()}
+	for _, tc := range []struct {
+		name     string
+		space    hw.DesignSpace
+		maxShare float64 // 0: only require fewer refined points than swept
+	}{
+		{"paper", hw.PaperSpace(), 0},
+		{"fine", hw.FineSpace(), 0.05},
+	} {
+		var stats ExploreStats
+		if _, err := ExploreSpace(models, tc.space, DefaultConstraints(), eval.New(eval.Options{}),
+			&ExploreOptions{Fidelity: fo, Stats: &stats}); err != nil {
+			t.Fatal(err)
+		}
+		share := float64(stats.RefinedPoints) / float64(stats.Points)
+		t.Logf("%s: refined %d of %d points (%.2f%%)", tc.name, stats.RefinedPoints, stats.Points, 100*share)
+		if stats.RefinedPoints >= stats.Points {
+			t.Errorf("%s: refined %d of %d points; frontier pruning is not bounding stage 1",
+				tc.name, stats.RefinedPoints, stats.Points)
+		}
+		if tc.maxShare > 0 && share > tc.maxShare {
+			t.Errorf("%s: refined %.2f%% of %d points, above %.0f%%", tc.name, 100*share, stats.Points, 100*tc.maxShare)
+		}
+	}
+}
+
 // frontierFor replays a space through a Selector to obtain the feasible
 // dominance frontier in selection order — the exact candidate list a staged
 // sweep hands to RefineSelect.

@@ -299,7 +299,7 @@ func TestExploreChunkLoopAllocFree(t *testing.T) {
 	cons := DefaultConstraints()
 	ev := eval.New(eval.Options{Workers: 1})
 	summary := func(m *workload.Model, c hw.Config) (ppa.Summary, error) {
-		return ev.EvaluateSummaryUncached(m, c, 1)
+		return ev.Plan(m).Summary(c, 1)
 	}
 	tmpl := make([]hw.Config, len(models))
 	for i, m := range models {

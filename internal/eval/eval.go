@@ -5,11 +5,11 @@
 // precomputed layer-granular cost plans); the upper level memoizes results
 // per (model fingerprint, configuration, batch), with the scalar Summary and
 // the full per-layer Eval materialized independently, so a sweep that only
-// filters on totals never builds a []LayerEval. Every sweep in the framework — the
-// 81-point DSE, tau sweeps, slack sweeps, assignment-stability checks and
-// library evolution — funnels its evaluations through one Evaluator, so
-// repeated sweeps over the same (model, configuration) pairs hit cache
-// instead of recomputing the analytical model.
+// filters on totals never builds a []LayerEval. Every sweep in the
+// framework — the 81-point DSE, tau sweeps, slack sweeps and library
+// evolution — funnels its evaluations through one Evaluator, so repeated
+// sweeps over the same (model, configuration) pairs hit cache instead of
+// recomputing the analytical model.
 //
 // Determinism contract: the engine only parallelizes pure per-(model,
 // configuration) evaluations and callers collect results by index, never by
@@ -280,18 +280,10 @@ func (ev *Evaluator) ForEach(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ForEachChunk splits [0, n) into contiguous chunks of at most chunk items
-// and runs fn(lo, hi) for each half-open range across the engine's workers.
-// Chunks are claimed in ascending order; with Workers == 1 the calls are
-// strictly sequential in range order. fn must be safe to call concurrently.
-// Non-positive chunk selects one chunk per worker (balanced split).
-func (ev *Evaluator) ForEachChunk(n, chunk int, fn func(lo, hi int)) {
-	ev.ForEachChunkWorker(n, chunk, func(_, lo, hi int) { fn(lo, hi) })
-}
-
-// ForEachChunkWorker is ForEachChunk with a stable worker identity: fn runs as
-// fn(worker, lo, hi) where worker identifies the goroutine claiming the chunk
-// (0 <= worker < Workers()), so callers can keep persistent per-worker
+// ForEachChunkWorker splits [0, n) into contiguous chunks of at most chunk
+// items (non-positive chunk: one chunk per worker) and runs fn(worker, lo,
+// hi) for each half-open range across the engine's workers, where worker
+// identifies the goroutine claiming the chunk (0 <= worker < Workers()), so callers can keep persistent per-worker
 // (sharded) reduction state — scratch buffers, local frontiers — across every
 // chunk that worker claims, without locking. Chunks are claimed dynamically in
 // ascending order; with Workers == 1 every chunk runs on worker 0 in strict
@@ -340,16 +332,6 @@ func (ev *Evaluator) ForEachChunkWorker(n, chunk int, fn func(worker, lo, hi int
 		}(g)
 	}
 	wg.Wait()
-}
-
-// EvaluateSummaryUncached computes the scalar summary from the model's cached
-// plan without touching the result cache — the path for sweeps over spaces so
-// large that memoizing every (point, model) pair would itself cost
-// O(points x models) memory. The model plan (the lower cache level) is still
-// shared, so the per-call cost is the closed-form kernel arithmetic only.
-// Bit-identical to EvaluateSummary for the same inputs.
-func (ev *Evaluator) EvaluateSummaryUncached(m *workload.Model, c hw.Config, batch int) (ppa.Summary, error) {
-	return ev.Plan(m).Summary(c, batch)
 }
 
 // Fingerprint returns a collision-resistant identity for a model's full

@@ -279,20 +279,6 @@ func (c Config) Coverage(m *workload.Model) float64 {
 	return float64(covered) / float64(len(m.Layers))
 }
 
-// Merge returns a configuration that serves the union of both configurations'
-// unit kinds at this configuration's DSE point.
-func (c Config) Merge(o Config) Config {
-	need := c.Units()
-	for u := range o.Units() {
-		need[u] = true
-	}
-	delete(need, SystolicArray)
-	need[SystolicArray] = true
-	out := configFromUnits(c.Point, need)
-	out.Cat = c.Cat
-	return out
-}
-
 // CheckMix validates the heterogeneous-mix fields against the catalogue: a
 // zero mix (homogeneous configuration) always passes; a non-zero mix must
 // instantiate only defined chiplet types.

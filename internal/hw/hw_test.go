@@ -135,26 +135,6 @@ func TestNewConfigDerivesKindsFromModels(t *testing.T) {
 	}
 }
 
-func TestConfigMergeIsUnionOfUnits(t *testing.T) {
-	p := Point{SASize: 32, NSA: 32, NAct: 16, NPool: 16}
-	a := NewConfig(p, []*workload.Model{workload.NewAlexNet()})
-	v := NewConfig(p, []*workload.Model{workload.NewViTBase()})
-	m := a.Merge(v)
-	for u := range a.Units() {
-		if !m.Units()[u] {
-			t.Errorf("merge lost %v", u)
-		}
-	}
-	for u := range v.Units() {
-		if !m.Units()[u] {
-			t.Errorf("merge lost %v", u)
-		}
-	}
-	if !m.Supports(workload.NewAlexNet()) || !m.Supports(workload.NewViTBase()) {
-		t.Error("merged config must support both models")
-	}
-}
-
 func TestBanksAndArea(t *testing.T) {
 	p := Point{SASize: 32, NSA: 32, NAct: 16, NPool: 16}
 	c := NewConfig(p, []*workload.Model{workload.NewAlexNet()})

@@ -1,7 +1,8 @@
 // Package metrics implements CLAIRE's composable metrics (Outputs #TR2/#TT2):
-// algorithm coverage C_layer and chiplet utilization U_chiplet, plus the
-// comparison helpers behind Figure 4 (area/latency/energy deviations between
-// generic, custom and library-synthesized configurations).
+// chiplet utilization U_chiplet (algorithm coverage C_layer is
+// hw.Config.Coverage), plus the comparison helpers behind Figure 4
+// (area/latency/energy deviations between generic, custom and
+// library-synthesized configurations).
 package metrics
 
 import (
@@ -9,23 +10,7 @@ import (
 	"math"
 
 	"repro/internal/hw"
-	"repro/internal/workload"
 )
-
-// Coverage returns C_layer(i, k): the fraction of model i's layers
-// implementable on a configuration providing the given unit kinds.
-func Coverage(m *workload.Model, provided map[hw.Unit]bool) float64 {
-	if len(m.Layers) == 0 {
-		return 0
-	}
-	covered := 0
-	for _, l := range m.Layers {
-		if provided[hw.UnitFor(l.Kind)] {
-			covered++
-		}
-	}
-	return float64(covered) / float64(len(m.Layers))
-}
 
 // Utilization returns U_chiplet(i, k): the fraction of module banks across
 // all chiplets of the package that algorithm i exercises. chiplets lists, for

@@ -5,31 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hw"
-	"repro/internal/workload"
 )
-
-func TestCoverage(t *testing.T) {
-	m := workload.NewAlexNet()
-	all := map[hw.Unit]bool{
-		hw.SystolicArray: true, hw.ActReLU: true, hw.PoolMax: true,
-		hw.PoolAdaptiveAvg: true, hw.EngFlatten: true,
-	}
-	if got := Coverage(m, all); got != 1 {
-		t.Errorf("full coverage = %v, want 1", got)
-	}
-	noRelu := map[hw.Unit]bool{
-		hw.SystolicArray: true, hw.PoolMax: true,
-		hw.PoolAdaptiveAvg: true, hw.EngFlatten: true,
-	}
-	got := Coverage(m, noRelu)
-	want := 1 - float64(m.CountByKind()[workload.ReLU])/float64(m.LayerCount())
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("partial coverage = %v, want %v", got, want)
-	}
-	if Coverage(&workload.Model{Name: "x"}, all) != 0 {
-		t.Error("layerless model coverage should be 0")
-	}
-}
 
 func TestUtilization(t *testing.T) {
 	chiplets := [][]hw.Unit{

@@ -346,6 +346,28 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected pins the body cap: a 2 MiB explore body is
+// refused with 413 and an error naming the 1 MiB limit, and nothing is
+// admitted.
+func TestOversizedBodyRejected(t *testing.T) {
+	s, hs := startServer(t, ManagerConfig{Workers: 1})
+	body := `{"models":["` + strings.Repeat("a", 2<<20) + `"]}`
+	code, out := postJSON(t, hs.URL+"/v1/explore", json.RawMessage(body))
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body returned %d, want 413: %s", code, out)
+	}
+	var e struct{ Error string }
+	if err := json.Unmarshal(out, &e); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(e.Error, "1048576") {
+		t.Errorf("error %q does not name the 1048576-byte limit", e.Error)
+	}
+	if got := s.Manager().Metrics().Accepted.Load(); got != 0 {
+		t.Errorf("accepted = %d, want 0", got)
+	}
+}
+
 // TestCloseCancelsLiveJobs pins shutdown: Close cancels running work, drains
 // the pool, and subsequent submissions fail with ErrShutdown.
 func TestCloseCancelsLiveJobs(t *testing.T) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -31,8 +32,8 @@ func New(cfg ManagerConfig) *Server {
 	return s
 }
 
-// Manager exposes the underlying job manager (tests, clairebench's load
-// mode).
+// Manager exposes the underlying job manager (tests, the benchmark's serve
+// workload).
 func (s *Server) Manager() *Manager { return s.mgr }
 
 // Handler returns the routing handler.
@@ -55,12 +56,29 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// decode parses a JSON request body strictly (unknown fields are client
-// errors, mirroring the catalogue loader's posture).
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps every POST body: a query is a few hundred bytes, so a
+// larger body is refused with 413 before it is buffered.
+const maxBodyBytes = 1 << 20
+
+// decode parses a JSON request body of at most maxBodyBytes strictly
+// (unknown fields are client errors, mirroring the catalogue loader's
+// posture). On failure it writes the error response — 413 naming the limit
+// for an oversized body, 400 otherwise — and returns false.
+func decode(w http.ResponseWriter, r *http.Request, kind string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge,
+			"bad %s request: body exceeds the %d-byte limit", kind, tooBig.Limit)
+	case err != nil:
+		httpError(w, http.StatusBadRequest, "bad %s request: %v", kind, err)
+	default:
+		return true
+	}
+	return false
 }
 
 // submit is the common admission tail of the three POST endpoints: overload
@@ -110,8 +128,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, sync bool,
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var req ExploreRequest
-	if err := decode(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad explore request: %v", err)
+	if !decode(w, r, "explore", &req) {
 		return
 	}
 	s.submit(w, r, req.Sync, func(detached bool) (*Job, bool, error) {
@@ -121,8 +138,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decode(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad sweep request: %v", err)
+	if !decode(w, r, "sweep", &req) {
 		return
 	}
 	s.submit(w, r, req.Sync, func(detached bool) (*Job, bool, error) {
@@ -132,8 +148,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSelfcheck(w http.ResponseWriter, r *http.Request) {
 	var req SelfcheckRequest
-	if err := decode(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad selfcheck request: %v", err)
+	if !decode(w, r, "selfcheck", &req) {
 		return
 	}
 	s.submit(w, r, req.Sync, func(detached bool) (*Job, bool, error) {
