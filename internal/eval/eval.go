@@ -97,7 +97,7 @@ type cacheKey struct {
 // attaching the default catalogue shares cache with the zero-config path.
 func (ev *Evaluator) keyFor(m *workload.Model, c hw.Config, batch int) cacheKey {
 	k := cacheKey{
-		fp: ev.memo(m).fp, cat: c.Catalogue().Fingerprint(),
+		fp: ev.fingerprint(m), cat: c.Catalogue().Fingerprint(),
 		point: c.Point, prec: c.Precision, batch: batch,
 		flatten: c.Flatten, permute: c.Permute,
 	}
@@ -125,25 +125,32 @@ func ascending(us []hw.Unit) bool {
 	return true
 }
 
-// modelMemo is one model's fingerprint and precomputed cost plan, built
-// together exactly once per engine: workers that miss on the same model
-// concurrently wait on the sync.Once instead of each re-hashing the model
-// and rebuilding its plan.
+// modelMemo is one model's fingerprint and precomputed cost plan, each built
+// at most once per engine: workers that miss on the same model concurrently
+// wait on its sync.Once instead of each re-hashing the model or rebuilding
+// its plan. The plan has its own latch because a model whose every lookup
+// hits the result cache (claired resolves fresh model pointers per request)
+// needs only the fingerprint.
 type modelMemo struct {
-	once sync.Once
-	fp   string
-	plan *ppa.ModelPlan
+	fpOnce, planOnce sync.Once
+	fp               string
+	plan             *ppa.ModelPlan
 }
 
-// memo returns the model's memo, building it on first use.
+// memo returns the model's record, creating it on first use.
 func (ev *Evaluator) memo(m *workload.Model) *modelMemo {
 	v, ok := ev.models.Load(m)
 	if !ok {
 		v, _ = ev.models.LoadOrStore(m, &modelMemo{})
 	}
-	mm := v.(*modelMemo)
-	mm.once.Do(func() { mm.fp, mm.plan = Fingerprint(m), ppa.NewModelPlan(m) })
-	return mm
+	return v.(*modelMemo)
+}
+
+// fingerprint returns the model's memoized fingerprint.
+func (ev *Evaluator) fingerprint(m *workload.Model) string {
+	mm := ev.memo(m)
+	mm.fpOnce.Do(func() { mm.fp = Fingerprint(m) })
+	return mm.fp
 }
 
 // Evaluator is the parallel, memoizing evaluation engine. The zero value is
@@ -222,7 +229,11 @@ func (ev *Evaluator) EvaluateSummary(m *workload.Model, c hw.Config, batch int) 
 // Plan returns the engine's precomputed cost plan for the model, building it
 // on first use — the lower level of the two-level cache, shared across every
 // (configuration, batch) entry of the model.
-func (ev *Evaluator) Plan(m *workload.Model) *ppa.ModelPlan { return ev.memo(m).plan }
+func (ev *Evaluator) Plan(m *workload.Model) *ppa.ModelPlan {
+	mm := ev.memo(m)
+	mm.planOnce.Do(func() { mm.plan = ppa.NewModelPlan(m) })
+	return mm.plan
+}
 
 // entryFor returns the cache entry for one (model, configuration, batch) key,
 // creating it on first lookup.
