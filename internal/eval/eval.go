@@ -294,13 +294,14 @@ func (ev *Evaluator) ForEach(n int, fn func(i int)) {
 // ForEachChunkWorker splits [0, n) into contiguous chunks of at most chunk
 // items (non-positive chunk: one chunk per worker) and runs fn(worker, lo,
 // hi) for each half-open range across the engine's workers, where worker
-// identifies the goroutine claiming the chunk (0 <= worker < Workers()), so callers can keep persistent per-worker
-// (sharded) reduction state — scratch buffers, local frontiers — across every
-// chunk that worker claims, without locking. Chunks are claimed dynamically in
-// ascending order; with Workers == 1 every chunk runs on worker 0 in strict
-// range order. fn must be safe to call concurrently for distinct worker ids;
-// calls sharing a worker id never overlap, and all writes made in fn
-// happen-before ForEachChunkWorker returns.
+// identifies the goroutine claiming the chunk (0 <= worker < Workers()), so
+// callers can keep persistent per-worker (sharded) reduction state — scratch
+// buffers, local frontiers — across every chunk that worker claims, without
+// locking. Chunks are claimed dynamically in ascending order; with Workers
+// == 1 every chunk runs on worker 0 in strict range order. fn must be safe to
+// call concurrently for distinct worker ids; calls sharing a worker id never
+// overlap, and all writes made in fn happen-before ForEachChunkWorker
+// returns.
 func (ev *Evaluator) ForEachChunkWorker(n, chunk int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
