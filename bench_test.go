@@ -10,6 +10,7 @@ package claire
 // Run with: go test -bench=. -benchmem
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/ppa"
 	"repro/internal/report"
 	"repro/internal/schedule"
+	"repro/internal/search"
 	"repro/internal/systolic"
 	"repro/internal/workload"
 )
@@ -317,6 +319,46 @@ func BenchmarkExploreStreamFine(b *testing.B) {
 		}
 		if stats.RetainedBytes*10 > stats.NaiveBytes {
 			b.Fatalf("retained %d bytes exceeds 10%% of naive %d", stats.RetainedBytes, stats.NaiveBytes)
+		}
+	}
+}
+
+// BenchmarkSearch times one budgeted search per iteration on a cold engine:
+// both strategies, seed 7, a 5% budget, on the full fine space (13 training
+// nets) and the mixfine space (AlexNet, ViT-base, ResNet-18) — the search
+// stage of the explore benchmark.
+func BenchmarkSearch(b *testing.B) {
+	mixfine, err := hw.FineMixSpec(nil).Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cons := dse.DefaultConstraints()
+	for _, sp := range []struct {
+		name   string
+		space  hw.DesignSpace
+		models []*workload.Model
+	}{
+		{"fine", hw.FineSpace(), workload.TrainingSet()},
+		{"mixfine", mixfine, []*workload.Model{workload.NewAlexNet(), workload.NewViTBase(), workload.NewResNet18()}},
+	} {
+		budget := sp.space.Len() * len(sp.models) / 20
+		for _, kind := range []string{"anneal", "genetic"} {
+			spec, err := search.ParseSpec(kind)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(kind+"/"+sp.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					opt, err := search.New(spec, search.Options{Seed: 7, Evaluator: eval.New(eval.Options{})})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, _, err := opt.Run(context.Background(), sp.models, sp.space, cons, budget); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

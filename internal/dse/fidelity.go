@@ -116,7 +116,10 @@ func (fo *FidelityOptions) RefineSelect(ctx context.Context, cands []int, models
 	if len(cands) == 0 {
 		return -1, stats, fmt.Errorf("dse: staged selection over an empty frontier")
 	}
-	cat := hw.CatalogueOf(space)
+	// The union-kind template: its unit banks depend only on the models, so
+	// each candidate just stamps its point into a copy.
+	tmpl := hw.NewConfig(hw.Point{}, models)
+	tmpl.Cat = hw.CatalogueOf(space)
 	nm := len(models)
 	type scored struct {
 		idx  int
@@ -128,8 +131,8 @@ func (fo *FidelityOptions) RefineSelect(ctx context.Context, cands []int, models
 		if err := ctx.Err(); err != nil {
 			return -1, stats, err
 		}
-		cfg := hw.NewConfig(space.At(idx), models)
-		cfg.Cat = cat
+		cfg := tmpl
+		cfg.Point = space.At(idx)
 		full, err := evaluateAll(ev, models, cfg)
 		if err != nil {
 			return -1, stats, err

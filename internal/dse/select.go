@@ -43,10 +43,10 @@ func NewSelector(nModels int, cons Constraints) *Selector {
 // each model's summary). Latencies of statically feasible models tighten the
 // reference exactly as the sweep's localBest does; the candidate is retained
 // only when every model is statically feasible and the latencies pass slack
-// against the current reference. lats and statics may be reused by the
-// caller after return.
-func (s *Selector) Observe(idx int, area float64, lats []float64, statics []bool) {
-	tightened := false
+// against the current reference. It reports whether the reference tightened,
+// so callers caching values derived from BestLatencies know when to drop
+// them. lats and statics may be reused by the caller after return.
+func (s *Selector) Observe(idx int, area float64, lats []float64, statics []bool) (tightened bool) {
 	allOK := true
 	for i := range lats {
 		if !statics[i] {
@@ -64,6 +64,7 @@ func (s *Selector) Observe(idx int, area float64, lats []float64, statics []bool
 	if allOK && slackOK(lats, s.best, s.cons.LatencySlack) {
 		s.front.add(idx, area, lats)
 	}
+	return tightened
 }
 
 // Best returns the min-(area, index) candidate feasible under the current

@@ -92,7 +92,7 @@ func (a *annealer) anneal(st *state) error {
 		}
 		batch = batch[:0]
 		for j := 0; j < p.Batch; j++ {
-			batch = append(batch, st.neighbor(st.pts[cur]))
+			batch = append(batch, st.neighbor(cur))
 		}
 		before := len(st.pts)
 		slots := st.visit(batch)

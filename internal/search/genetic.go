@@ -66,6 +66,9 @@ func (g *genetic) evolve(st *state) error {
 	if len(pop) == 0 {
 		return nil
 	}
+	// The population's worst member, kept until the population changes or the
+	// latency reference tightens (either can move it); -1 means rescan.
+	worst, wf, worstGen := -1, 0.0, 0
 	stall := 0
 	for !st.exhausted() {
 		batch = batch[:0]
@@ -94,16 +97,19 @@ func (g *genetic) evolve(st *state) error {
 			if s < 0 || inPop[st.pts[s]] {
 				continue
 			}
-			worst, wf := -1, 0.0
-			for i, ps := range pop {
-				if f := st.fitness(ps); worst < 0 || f > wf {
-					worst, wf = i, f
+			if worst < 0 || worstGen != st.refGen {
+				worst, worstGen = -1, st.refGen
+				for i, ps := range pop {
+					if f := st.fitness(ps); worst < 0 || f > wf {
+						worst, wf = i, f
+					}
 				}
 			}
 			if st.fitness(s) < wf {
 				delete(inPop, st.pts[pop[worst]])
 				pop[worst] = s
 				inPop[st.pts[s]] = true
+				worst = -1
 			}
 		}
 	}
@@ -133,11 +139,9 @@ func (g *genetic) offspring(st *state, pop []int) int {
 	p := g.eng.spec.Genetic
 	p1 := g.tournament(st, pop)
 	p2 := g.tournament(st, pop)
-	c1 := make([]int, v.dims)
-	c2 := make([]int, v.dims)
-	v.coordsOf(st.pts[p1], c1)
-	v.coordsOf(st.pts[p2], c2)
-	child := c1
+	child := st.coordScratch
+	copy(child, st.slotCoords(p1))
+	c2 := st.slotCoords(p2)
 	if st.rng.Float64() < p.Cross {
 		for d := 0; d < v.dims; d++ {
 			if st.rng.Intn(2) == 1 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/dse"
 	"repro/internal/eval"
@@ -247,7 +248,16 @@ type state struct {
 	static []bool      // slot*nm per-model static feasibility
 	evalAt []int       // slot -> cumulative evals when scored
 	errs   []error     // slot -> scoring error (nil normally)
+	coords []int       // slot*dims coordinates (empty without a coordinate view)
 	err    error       // first error in slot order
+
+	// Fitness memo: fit[s] is valid while fitGen[s] == refGen. refGen moves
+	// only when the selector's latency reference tightens — the one input of
+	// fitness that changes after a slot is scored.
+	fit         []float64
+	fitGen      []int
+	refGen      int
+	fitComputes int // raw fitness computations (memo misses)
 
 	improvements []Improvement
 	lastBest     int
@@ -279,6 +289,7 @@ func newState(ctx context.Context, ev *eval.Evaluator, space hw.DesignSpace,
 		budget:   budget - nm,
 		slots:    make(map[int]int, budget/nm+1),
 		lastBest: -1,
+		refGen:   1,
 	}
 	if st.view != nil {
 		st.coordScratch = make([]int, st.view.dims)
@@ -316,9 +327,16 @@ func (st *state) visit(cands []int) []int {
 		st.areas = append(st.areas, 0)
 		st.evalAt = append(st.evalAt, 0)
 		st.errs = append(st.errs, nil)
+		st.fit = append(st.fit, 0)
+		st.fitGen = append(st.fitGen, 0)
 		for i := 0; i < st.nm; i++ {
 			st.lats = append(st.lats, 0)
 			st.static = append(st.static, false)
+		}
+		if v := st.view; v != nil {
+			at := len(st.coords)
+			st.coords = slices.Grow(st.coords, v.dims)[:at+v.dims]
+			v.coordsOf(k, st.coords[at:])
 		}
 		st.budget -= st.nm
 		st.slotScratch = append(st.slotScratch, s)
@@ -354,7 +372,9 @@ func (st *state) visit(cands []int) []int {
 			}
 			continue
 		}
-		st.sel.Observe(st.pts[s], st.areas[s], st.lats[s*st.nm:(s+1)*st.nm], st.static[s*st.nm:(s+1)*st.nm])
+		if st.sel.Observe(st.pts[s], st.areas[s], st.lats[s*st.nm:(s+1)*st.nm], st.static[s*st.nm:(s+1)*st.nm]) {
+			st.refGen++
+		}
 		st.evalAt[s] = st.evals
 	}
 	if idx, area, ok := st.sel.Best(); ok && idx != st.lastBest {
@@ -366,13 +386,24 @@ func (st *state) visit(cands []int) []int {
 	return st.slotScratch
 }
 
-// fitness scores a slot for strategy-internal comparisons: its selection
-// area inflated by a penalty for every model that is statically infeasible
-// or over latency slack against the current (monotonically tightening)
-// reference. Feasible points compare purely on area — the same objective
-// selection minimizes — while infeasible ones stay ranked, giving the
-// strategies a gradient toward feasibility.
+// fitness scores a slot for strategy-internal comparisons: rawFitness,
+// memoized per slot until the latency reference next tightens. A memo hit is
+// the same arithmetic on the same inputs as a recomputation, so it is
+// bit-identical to one.
 func (st *state) fitness(s int) float64 {
+	if st.fitGen[s] != st.refGen {
+		st.fitComputes++
+		st.fit[s], st.fitGen[s] = st.rawFitness(s), st.refGen
+	}
+	return st.fit[s]
+}
+
+// rawFitness is a slot's selection area inflated by a penalty for every
+// model that is statically infeasible or over latency slack against the
+// current (monotonically tightening) reference. Feasible points compare
+// purely on area — the same objective selection minimizes — while infeasible
+// ones stay ranked, giving the strategies a gradient toward feasibility.
+func (st *state) rawFitness(s int) float64 {
 	area := st.areas[s]
 	ref := st.sel.BestLatencies()
 	slack := st.cons.LatencySlack
@@ -392,6 +423,13 @@ func (st *state) fitness(s int) float64 {
 		}
 	}
 	return area * (1 + pen)
+}
+
+// slotCoords returns the coordinates of a scored slot (live; callers must
+// not mutate them). Requires a coordinate view.
+func (st *state) slotCoords(s int) []int {
+	d := st.view.dims
+	return st.coords[s*d : (s+1)*d]
 }
 
 // bestByFitness returns the visited slot with minimal fitness (ties to the
@@ -519,7 +557,7 @@ func (st *state) calibrate() {
 			}
 		}
 		if s0 >= 0 {
-			v.coordsOf(st.pts[s0], cur)
+			copy(cur, st.slotCoords(s0))
 			track(cur)
 			allAxes := axes[:0]
 			for d := 0; d < v.dims; d++ {
@@ -724,17 +762,18 @@ func (st *state) randomUnvisited() int {
 	return st.rng.Intn(st.n)
 }
 
-// neighbor proposes a coordinate-neighborhood move from point k: a ±1 step
-// on one random axis, retried across axes until it lands on an admitted
-// point. Falls back to a uniform random index when the space has no
+// neighbor proposes a coordinate-neighborhood move from the point in slot s:
+// a ±1 step on one random axis, retried across axes until it lands on an
+// admitted point. Falls back to a uniform random index when the space has no
 // coordinate view or no valid step was found.
-func (st *state) neighbor(k int) int {
+func (st *state) neighbor(s int) int {
 	v := st.view
 	if v == nil {
 		return st.rng.Intn(st.n)
 	}
+	k := st.pts[s]
 	c := st.coordScratch
-	v.coordsOf(k, c)
+	copy(c, st.slotCoords(s))
 	for try := 0; try < 2*v.dims; try++ {
 		d := st.rng.Intn(v.dims)
 		dir := 1
