@@ -338,7 +338,8 @@ type sweepState struct {
 	cons    Constraints
 	summary func(*workload.Model, hw.Config) (ppa.Summary, error)
 	// plans, when set, replaces summary with direct calls on each model's
-	// plan, resolved once per sweep (the cache-bypassing path).
+	// plan, resolved once per sweep (the cache-bypassing path); each shard
+	// threads its own per-model ppa.Carry through them.
 	plans   []*ppa.ModelPlan
 	n       int
 	wmBits  []atomic.Uint64 // per-model slack watermark; only ever decreases
@@ -368,14 +369,6 @@ func newSweepState(ctx context.Context, space hw.DesignSpace, models []*workload
 	return sw
 }
 
-// summaryAt evaluates model i on configuration c.
-func (sw *sweepState) summaryAt(i int, c hw.Config) (ppa.Summary, error) {
-	if sw.plans != nil {
-		return sw.plans[i].Summary(c, 1)
-	}
-	return sw.summary(sw.models[i], c)
-}
-
 // markSurvivor sets point k's survivor bit. Chunks need not be word-aligned,
 // so two shards can share a word; the CAS loop makes the OR atomic.
 func (sw *sweepState) markSurvivor(k int) {
@@ -391,9 +384,9 @@ func (sw *sweepState) markSurvivor(k int) {
 // exploreShard is one worker's persistent reduction state: a local dominance
 // frontier, the per-model running best latencies over every chunk the worker
 // has claimed, the effective slack reference (a snapshot of the global
-// watermark tightened by the shard's own observations), and reusable
-// scratch. Shards never share mutable state, so the chunk loop takes no
-// locks; they merge once, after the sweep.
+// watermark tightened by the shard's own observations), the per-model kernel
+// carries, and reusable scratch. Shards never share mutable state, so the
+// chunk loop takes no locks; they merge once, after the sweep.
 type exploreShard struct {
 	sw          *sweepState
 	front       frontier
@@ -405,6 +398,10 @@ type exploreShard struct {
 	recounted   int       // points pass 2 re-evaluated
 	errIdx      int       // lowest failing point index seen by this shard
 	err         error
+
+	// carries holds one kernel carry per model on the plans path: the shape
+	// costs of the last point the shard evaluated (see summaryAt).
+	carries []ppa.Carry
 
 	// Early-exit incumbent: the min-(area, index) candidate this shard has
 	// submitted to its frontier, and whether that candidate is certified
@@ -428,11 +425,26 @@ func newExploreShard(sw *sweepState) *exploreShard {
 		admIdx:    sw.n,
 	}
 	sh.front.init(m)
+	if sw.plans != nil {
+		sh.carries = make([]ppa.Carry, m)
+	}
 	for i := 0; i < m; i++ {
 		sh.localBest[i] = math.Inf(1)
 		sh.wm[i] = math.Inf(1)
 	}
 	return sh
+}
+
+// summaryAt evaluates model i on configuration c. On the plans path it goes
+// through the shard's carry for the model, so consecutive points re-run only
+// the kernels of the shapes whose point axes changed; the totals are
+// bit-identical to a fresh Summary either way.
+func (sh *exploreShard) summaryAt(i int, c *hw.Config) (ppa.Summary, error) {
+	sw := sh.sw
+	if sw.plans != nil {
+		return sw.plans[i].SummaryWith(c, 1, &sh.carries[i])
+	}
+	return sw.summary(sw.models[i], *c)
 }
 
 // scanChunk reduces points [lo, hi) into the shard's persistent state. The
@@ -482,7 +494,7 @@ func (sh *exploreShard) scanChunk(lo, hi int) {
 		for i := range sw.models {
 			c := sw.tmpl[i]
 			c.Point = pt
-			s, err := sw.summaryAt(i, c)
+			s, err := sh.summaryAt(i, &c)
 			if err != nil {
 				if k < sh.errIdx {
 					sh.errIdx, sh.err = k, err
@@ -575,7 +587,7 @@ func (sh *exploreShard) feasibleAt(k int) bool {
 	for i := range sw.models {
 		c := sw.tmpl[i]
 		c.Point = pt
-		s, err := sw.summaryAt(i, c)
+		s, err := sh.summaryAt(i, &c)
 		if err != nil || !sw.cons.meetsStatic(s.AreaMM2, s.PowerDensity()) {
 			return false
 		}
@@ -613,11 +625,12 @@ func buildCornerBounds(space hw.DesignSpace, sw *sweepState) *cornerBounds {
 	for i := range latLB {
 		latLB[i] = math.Inf(1)
 	}
+	sh := newExploreShard(sw)
 	for _, pt := range corners {
 		for i := range sw.models {
 			c := sw.tmpl[i]
 			c.Point = pt
-			s, err := sw.summaryAt(i, c)
+			s, err := sh.summaryAt(i, &c)
 			if err != nil {
 				return nil
 			}

@@ -1,4 +1,5 @@
-// Layer-granular cost kernels and precomputed model plans.
+// Layer-granular cost kernels, precomputed model plans and carried shape
+// costs.
 //
 // The analytical model factors cleanly by layer, and each layer's cost
 // depends only on its shape and a small sub-parameterization of the
@@ -10,10 +11,22 @@
 // ModelPlan therefore groups layers by shape once per model (every
 // workload.Layer field except Name), precomputes the configuration-independent
 // counts once per shape, and caches the per-SASize fold decompositions as one
-// row per shape. Evaluating one configuration runs each kernel once per
-// distinct shape, then adds the per-shape latency and energy into the totals
-// in layer order — the same addends in the same order as the per-layer path,
-// so every total is bit-identical to it.
+// row per shape.
+//
+// Sweeps also repeat shape costs across points. A shape's kernel reads the
+// catalogue, the precision, the batch and one class of point axes: SASize
+// and NSA (or the mix) for a compute shape, NAct for an activation shape,
+// NPool for a pooling shape, none for an engine shape. A Carry keeps every
+// shape's latency and energy from the previous call together with that key,
+// and SummaryWith re-runs the kernel only for the shapes whose inputs moved:
+// in row-major order over the fine space, a compute shape re-runs once every
+// 64 points, not at every point. Every evaluation then adds the per-shape
+// latency and energy into the totals in layer order — the same addends in
+// the same order as the per-layer path, so every total is bit-identical to
+// it, whatever points the carry saw before. The carry also keeps the running
+// sums at the first layer of each class, and the adds resume from the one
+// before the first layer whose cost moved. ModelPlan.Summary is SummaryWith
+// on an empty carry.
 //
 // Summary is the allocation-lean result form: exactly the whole-algorithm
 // totals of Eval without the per-layer []LayerEval breakdown. Sweeps filter
@@ -32,8 +45,8 @@ import (
 // layerPlan carries the configuration-independent cost inputs of one layer
 // shape.
 type layerPlan struct {
-	unit    hw.Unit
-	compute bool
+	unit  hw.Unit
+	class uint8 // which point axes the shape's kernel reads
 
 	// Compute layers (systolic array).
 	macs, params, inElems int64
@@ -43,17 +56,37 @@ type layerPlan struct {
 	outElems int64
 }
 
+// Shape classes, by the point axes a shape's kernel reads besides the
+// catalogue, precision and batch (see bankCount).
+const (
+	classCompute uint8 = iota // SASize and NSA, or the mix
+	classAct                  // NAct
+	classPool                 // NPool
+	classEngine               // none: engine banks have a fixed count
+	numClasses
+
+	allClasses uint8 = 1<<numClasses - 1
+)
+
 // layerPlanOf precomputes the configuration-independent counts of one layer.
 func layerPlanOf(l workload.Layer) layerPlan {
 	lp := layerPlan{outElems: l.OutputElems()}
 	if l.Kind.IsCompute() {
 		lp.unit = hw.SystolicArray
-		lp.compute = true
+		lp.class = classCompute
 		lp.macs = l.MACs()
 		lp.params = l.Params()
 		lp.inElems = l.InputElems()
 	} else {
 		lp.unit = hw.UnitFor(l.Kind)
+		switch {
+		case lp.unit.IsActivation():
+			lp.class = classAct
+		case lp.unit.IsPooling():
+			lp.class = classPool
+		default:
+			lp.class = classEngine
+		}
 		lp.elementOps = l.ElementOps()
 	}
 	return lp
@@ -274,6 +307,12 @@ type ModelPlan struct {
 	shapes []layerPlan // per shape: configuration-independent counts
 	units  []hw.Unit   // distinct required units, for allocation-free coverage checks
 
+	classes    uint8             // bit set of the shape classes present
+	byClass    []int32           // shape indices grouped by class, in class order
+	classEnd   [numClasses]int32 // per class: end of its run in byClass
+	classFirst [numClasses]int32 // per class: index of its first layer (len(shape) if none)
+	classOrder [numClasses]uint8 // the classes by ascending classFirst
+
 	folds atomic.Pointer[foldTable] // per-SASize tables, newest first
 }
 
@@ -340,12 +379,42 @@ func NewModelPlan(m *workload.Model) *ModelPlan {
 	}
 	p.shapes = make([]layerPlan, len(p.first))
 	seen := [hw.NumUnits]bool{}
+	for cl := range p.classFirst {
+		p.classFirst[cl] = int32(n)
+	}
 	for k, i := range p.first {
-		p.shapes[k] = layerPlanOf(m.Layers[i])
-		if u := p.shapes[k].unit; !seen[u] {
-			seen[u] = true
-			p.units = append(p.units, u)
+		lp := &p.shapes[k]
+		*lp = layerPlanOf(m.Layers[i])
+		if !seen[lp.unit] {
+			seen[lp.unit] = true
+			p.units = append(p.units, lp.unit)
 		}
+		if p.classes&(1<<lp.class) == 0 {
+			p.classes |= 1 << lp.class
+			p.classFirst[lp.class] = i
+		}
+		p.classEnd[lp.class]++ // the class's shape count, for now
+	}
+	// Counting sort of the shapes by class. Once filled, each class's next
+	// free slot is the end of its run.
+	var next [numClasses]int32
+	for cl := 1; cl < len(next); cl++ {
+		next[cl] = next[cl-1] + p.classEnd[cl-1]
+	}
+	p.byClass = make([]int32, len(p.shapes))
+	for k := range p.shapes {
+		cl := p.shapes[k].class
+		p.byClass[next[cl]] = int32(k)
+		next[cl]++
+	}
+	p.classEnd = next
+	// Insertion sort of the classes by first layer.
+	for cl := range p.classOrder {
+		j := cl
+		for ; j > 0 && p.classFirst[p.classOrder[j-1]] > p.classFirst[cl]; j-- {
+			p.classOrder[j] = p.classOrder[j-1]
+		}
+		p.classOrder[j] = uint8(cl)
 	}
 	return p
 }
@@ -370,7 +439,7 @@ func (p *ModelPlan) foldsFor(size int) []foldPlan {
 	}
 	ft := &foldTable{size: size, rows: make([]foldPlan, len(p.shapes)), next: head}
 	for k, i := range p.first {
-		if p.shapes[k].compute {
+		if p.shapes[k].class == classCompute {
 			ft.rows[k] = foldPlanOf(p.model.Layers[i], size)
 		}
 	}
@@ -420,18 +489,24 @@ type shapeEval struct {
 	ft     []foldPlan                 // homogeneous: rows for c.SASize
 	mixFts [hw.MaxMixTypes][]foldPlan // mix: rows per active type's SASize
 	macPJ  float64
+
+	kernels int64 // kernel calls made (the sweep work counter)
 }
 
-// init resolves the per-call state for evaluating p's shapes on c.
-func (e *shapeEval) init(p *ModelPlan, c *hw.Config, batch int) {
+// init resolves the per-call state for evaluating p's shapes of the given
+// classes on c; the compute state is resolved only when compute shapes are
+// among them.
+func (e *shapeEval) init(p *ModelPlan, c *hw.Config, batch int, classes uint8) {
 	e.p, e.cat, e.batch, e.mix = p, c.Catalogue(), batch, !c.Mix.IsZero()
-	if e.mix {
+	switch {
+	case classes&(1<<classCompute) == 0:
+	case e.mix:
 		for ti := range e.cat.Chiplets {
 			if c.Mix.Counts[ti] > 0 {
 				e.mixFts[ti] = p.foldsFor(e.cat.Chiplets[ti].SASize)
 			}
 		}
-	} else {
+	default:
 		e.ft = p.foldsFor(c.SASize)
 		e.macPJ = e.cat.SAFor(c.SASize, c.Precision).MacPJ
 	}
@@ -439,9 +514,10 @@ func (e *shapeEval) init(p *ModelPlan, c *hw.Config, batch int) {
 
 // cost runs shape k's kernel on c, the configuration e was built for.
 func (e *shapeEval) cost(k int, c *hw.Config) kernelOut {
+	e.kernels++
 	lp := &e.p.shapes[k]
 	switch {
-	case !lp.compute:
+	case lp.class != classCompute:
 		return elementKernel(lp, c, e.cat, e.batch)
 	case e.mix:
 		return mixComputeKernel(lp, mixFoldSource{tables: &e.mixFts, shape: k}, c, e.cat, e.batch)
@@ -459,34 +535,145 @@ type shapeTotals struct{ latencyS, energyPJ float64 }
 // shapes, 138); a plan with more takes one heap allocation per call.
 const maxStackShapes = 160
 
+// Carry is the per-shape cost state that successive SummaryWith calls on one
+// plan share: each shape's latency and energy, their layer-order sums, and
+// the key they were computed under. A shape's kernel reads only its own
+// shape, the catalogue, the precision, the batch and the point axes of its
+// class, so a call re-runs only the shapes whose inputs moved, and re-adds
+// only the layers from the first one of a re-run class on. The zero value is
+// an empty carry. A Carry is not safe for concurrent use; a sweep gives each
+// worker its own.
+type Carry struct {
+	costs []shapeTotals // per shape of plan
+
+	// Layer-order sums of costs: over the layers before each class's first
+	// layer, and over all layers.
+	pre   [numClasses]shapeTotals
+	total shapeTotals
+
+	// Key the costs were filled under; plan is nil while the carry is empty.
+	plan  *ModelPlan
+	cat   *hw.Catalogue
+	prec  hw.Precision
+	batch int
+	pt    hw.Point
+
+	// Work done through this carry, read by tests: kernel calls and layer
+	// adds.
+	kernels, adds int64
+}
+
+// stale returns the shape classes of p whose carried costs no longer hold
+// for (c, batch): every class when the carry is empty or was filled under
+// another plan, catalogue, precision or batch; otherwise the classes present
+// in p whose own point axes moved.
+func (cr *Carry) stale(p *ModelPlan, c *hw.Config, cat *hw.Catalogue, batch int) uint8 {
+	if cr.plan != p || cr.cat != cat || cr.prec != c.Precision || cr.batch != batch {
+		return allClasses
+	}
+	var d uint8
+	if c.SASize != cr.pt.SASize || c.NSA != cr.pt.NSA || c.Mix != cr.pt.Mix {
+		d |= 1 << classCompute
+	}
+	if c.NAct != cr.pt.NAct {
+		d |= 1 << classAct
+	}
+	if c.NPool != cr.pt.NPool {
+		d |= 1 << classPool
+	}
+	return d & p.classes
+}
+
 // Summary evaluates the scalar totals of the model on one configuration with
-// zero steady-state allocation. Walking the layers in order, it runs the
-// kernel at each shape's first occurrence and reuses that result at every
-// repeat, adding latency and energy in layer order — so the result is
-// bit-identical to EvaluateBatch's totals and to the direct per-layer path.
+// zero steady-state allocation: SummaryWith on an empty carry kept on the
+// stack, so every shape's kernel runs once and every layer is added.
 func (p *ModelPlan) Summary(c hw.Config, batch int) (Summary, error) {
-	if err := p.check(&c, batch); err != nil {
+	var buf [maxStackShapes]shapeTotals
+	cr := Carry{costs: buf[:0]}
+	return p.SummaryWith(&c, batch, &cr)
+}
+
+// SummaryWith evaluates the scalar totals of the model on one configuration,
+// reusing what cr carries from its previous call. It re-runs the kernel only
+// for the shapes whose inputs changed: compute shapes when SASize, NSA or the
+// mix moved, activation shapes when NAct moved, pooling shapes when NPool
+// moved, and every shape when the plan, catalogue, precision or batch differ.
+// It then adds the per-shape latency and energy in layer order, resuming
+// from the carried sums over the layers before the first re-run one, which
+// no re-run touched. A reused cost is the same kernel's result on the same
+// inputs, and the sums are the same addends added in the same order, so the
+// result is bit-identical to Summary, to EvaluateBatch's totals and to the
+// direct per-layer path, whatever sequence of configurations cr has seen.
+// Once cr has been filled for p, a call performs no allocation. SummaryWith
+// only reads *c.
+func (p *ModelPlan) SummaryWith(c *hw.Config, batch int, cr *Carry) (Summary, error) {
+	if err := p.check(c, batch); err != nil {
 		return Summary{}, err
 	}
-	var e shapeEval
-	e.init(p, &c, batch)
-	var buf [maxStackShapes]shapeTotals
-	costs := buf[:]
-	if len(p.shapes) > len(buf) {
-		costs = make([]shapeTotals, len(p.shapes))
-	}
-	s := Summary{AreaMM2: c.AreaMM2()}
-	for i, k := range p.shape {
-		if int(p.first[k]) == i {
-			out := e.cost(int(k), &c)
-			costs[k] = shapeTotals{out.latencyS, out.energyPJ}
+	cat := c.Catalogue()
+	if dirty := cr.stale(p, c, cat, batch); dirty != 0 {
+		if cap(cr.costs) < len(p.shapes) {
+			cr.costs = make([]shapeTotals, len(p.shapes))
 		}
-		s.LatencyS += costs[k].latencyS
-		s.DynamicPJ += costs[k].energyPJ
+		cr.costs = cr.costs[:len(p.shapes)]
+		// Empty the key while refilling, so an interrupted refill leaves no
+		// half-updated state behind a valid key.
+		cr.plan = nil
+		var e shapeEval
+		e.init(p, c, batch, dirty)
+		lo := int32(0)
+		for cl, hi := range p.classEnd {
+			if dirty&(1<<cl) != 0 {
+				for _, k := range p.byClass[lo:hi] {
+					out := e.cost(int(k), c)
+					cr.costs[k] = shapeTotals{out.latencyS, out.energyPJ}
+				}
+			}
+			lo = hi
+		}
+		cr.kernels += e.kernels
+		p.addUp(cr, dirty)
 	}
-	leakW := e.cat.LeakageMWPerMM2 * 1e-3 * s.AreaMM2
+	cr.plan, cr.cat, cr.prec, cr.batch, cr.pt = p, cat, c.Precision, batch, c.Point
+	s := Summary{LatencyS: cr.total.latencyS, DynamicPJ: cr.total.energyPJ, AreaMM2: c.AreaMM2()}
+	leakW := cat.LeakageMWPerMM2 * 1e-3 * s.AreaMM2
 	s.LeakagePJ = leakW * s.LatencyS * 1e12
 	return s, nil
+}
+
+// addUp recomputes cr's layer-order sums after the shapes of the dirty
+// classes were re-run. The layers before the first layer of a dirty class
+// kept their costs, so it resumes from the sum carried at that layer and
+// re-adds only the rest, refreshing the carried sums it passes.
+func (p *ModelPlan) addUp(cr *Carry, dirty uint8) {
+	start := int32(len(p.shape))
+	var acc shapeTotals
+	for cl, first := range p.classFirst {
+		if dirty&(1<<cl) != 0 && first < start {
+			start, acc = first, cr.pre[cl]
+		}
+	}
+	if start == 0 {
+		acc = shapeTotals{} // the carried sum may belong to another plan
+	}
+	i := start
+	for _, cl := range p.classOrder {
+		if first := p.classFirst[cl]; first > start {
+			acc = p.addLayers(acc, cr.costs, i, first)
+			cr.pre[cl], i = acc, first
+		}
+	}
+	cr.total = p.addLayers(acc, cr.costs, i, int32(len(p.shape)))
+	cr.adds += int64(len(p.shape)) - int64(start)
+}
+
+// addLayers adds the costs of layers [lo, hi) to acc in layer order.
+func (p *ModelPlan) addLayers(acc shapeTotals, costs []shapeTotals, lo, hi int32) shapeTotals {
+	for _, k := range p.shape[lo:hi] {
+		acc.latencyS += costs[k].latencyS
+		acc.energyPJ += costs[k].energyPJ
+	}
+	return acc
 }
 
 // Evaluate materializes the full per-layer evaluation at batch size 1.
@@ -502,7 +689,7 @@ func (p *ModelPlan) EvaluateBatch(c hw.Config, batch int) (*Eval, error) {
 		return nil, err
 	}
 	var se shapeEval
-	se.init(p, &c, batch)
+	se.init(p, &c, batch, allClasses)
 	e := &Eval{Model: p.model, Config: c, AreaMM2: c.AreaMM2()}
 	e.Layers = make([]LayerEval, len(p.shape))
 	for i, k := range p.shape {
